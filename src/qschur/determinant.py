@@ -25,15 +25,16 @@ common value both identity sides converge to.
 from __future__ import annotations
 
 import threading
+from operator import add
 
 from .reports import Mismatch, VerificationReport, compare_series
 from .series import (
     LaurentPoly,
     QSeries,
+    divide_one_minus_qk,
     monomial,
     poly_first_mismatch,
     poly_to_series,
-    series_inverse,
 )
 from .schur import lambda_coeff, mu_coeff, schur_D, schur_E
 
@@ -120,16 +121,15 @@ def schur_finite_direct(n: int, m: int) -> LaurentPoly:
 def schur_coefficient(n: int, m: int, order: int) -> QSeries:
     """The expansion coefficient ``a_n = q^(n^2+mn) / ((1-q)...(1-q^n))``.
 
-    Truncated at ``order``; built as the monomial times the product of the
-    geometric inverses of ``1 - q^j``.
+    Truncated at ``order``; built as the truncated monomial divided by each
+    ``1 - q^j`` in turn, one O(order) prefix sum per factor.
     """
     if n < 0 or m < 0:
         raise ValueError(f"schur_coefficient requires n, m >= 0, got ({n}, {m})")
-    acc = QSeries.one(order)
+    acc = poly_to_series(monomial(1, n * n + m * n), order)
     for j in range(1, n + 1):
-        factor = LaurentPoly(0, (1,)) - monomial(1, j)
-        acc = acc * series_inverse(poly_to_series(factor, order))
-    return (acc * monomial(1, n * n + m * n)).truncated(order)
+        acc = divide_one_minus_qk(acc, j)
+    return acc
 
 
 def check_coefficient_recurrence(n: int, m: int, order: int) -> VerificationReport:
@@ -156,21 +156,21 @@ def schur_x1_series(m: int, order: int) -> QSeries:
     """Sum of all ``a_n`` truncated at ``order``.
 
     Only terms with ``n^2 + mn <= order`` contribute: every later ``a_n``
-    has its lowest exponent above the truncation.
+    has its lowest exponent above the truncation.  ``1/(q;q)_n`` is shared
+    across terms, cut to the window ``a_n`` needs and extended by one
+    prefix-sum division per term.
     """
     if m < 0 or order < 0:
         raise ValueError(f"schur_x1_series requires m, order >= 0, got ({m}, {order})")
-    # Same construction as schur_coefficient, but the inverse-Pochhammer
-    # product is extended one factor at a time and shared across terms.
-    total = QSeries.one(order)  # n = 0 term
-    poch_inv = QSeries.one(order)
-    n = 1
-    while n * n + m * n <= order:
-        factor = LaurentPoly(0, (1,)) - monomial(1, n)
-        poch_inv = poch_inv * series_inverse(poly_to_series(factor, order))
-        total = total + (poch_inv * monomial(1, n * n + m * n)).truncated(order)
+    total = [0] * (order + 1)
+    poch_inv = QSeries.one(order)  # 1/(q;q)_n through q^(order - low)
+    n = 0
+    while (low := n * n + m * n) <= order:
+        if n:
+            poch_inv = divide_one_minus_qk(poch_inv.truncated(order - low), n)
+        total[low:] = map(add, total[low:], poch_inv.coeffs)
         n += 1
-    return total
+    return QSeries(order, 0, total)
 
 
 def decompose(n: int, m: int) -> VerificationReport:

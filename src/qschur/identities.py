@@ -27,13 +27,7 @@ from math import comb
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
 from .schur import schur_D, schur_E
-from .series import (
-    LaurentPoly,
-    QSeries,
-    monomial,
-    poly_to_series,
-    series_inverse,
-)
+from .series import QSeries, divide_one_minus_qk, monomial, poly_to_series
 
 __all__ = [
     "rr_product_first",
@@ -56,7 +50,10 @@ _product_cache: dict[frozenset[int], QSeries] = {}
 
 
 def _inverse_factor_product(residues: frozenset[int], order: int) -> QSeries:
-    """Product of ``1/(1 - q^k)`` over ``k <= order`` with ``k mod 5`` allowed."""
+    """Product of ``1/(1 - q^k)`` over ``k <= order`` with ``k mod 5`` allowed,
+    each factor divided out of 1 by an O(order) prefix sum."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     with _product_lock:
         cached = _product_cache.get(residues)
     if cached is not None and cached.order >= order:
@@ -64,8 +61,7 @@ def _inverse_factor_product(residues: frozenset[int], order: int) -> QSeries:
     acc = QSeries.one(order)
     for k in range(1, order + 1):
         if k % 5 in residues:
-            factor = LaurentPoly(0, (1,)) - monomial(1, k)
-            acc = acc * series_inverse(poly_to_series(factor, order))
+            acc = divide_one_minus_qk(acc, k)
     with _product_lock:
         held = _product_cache.get(residues)
         if held is None or held.order < order:
@@ -78,15 +74,11 @@ def rr_product_first(order: int) -> QSeries:
 
     Generating function of partitions into such parts.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     return _inverse_factor_product(frozenset({1, 4}), order)
 
 
 def rr_product_second(order: int) -> QSeries:
     """The product over exponents congruent to 2 or 3 mod 5, truncated."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     return _inverse_factor_product(frozenset({2, 3}), order)
 
 
@@ -102,22 +94,17 @@ def gis_lhs(m: int, order: int) -> QSeries:
 def gis_rhs(m: int, order: int) -> QSeries:
     """Product side ``(-1)^m q^(-binomial(m,2)) (E_{m-2} P1 - D_{m-2} P2)``.
 
-    The leading monomial shifts exponents down by ``binomial(m, 2)`` while the
-    polynomial factors shift information up by at most their degree, so the
-    two products are computed at a padded working order that keeps the result
-    exact through ``order``.
+    Multiplying a series by an exact polynomial with no negative exponents
+    loses no order; only the leading ``q^(-binomial(m, 2))`` lowers it, so the
+    two products are computed through ``order + binomial(m, 2)``.
     """
     if m < 0 or order < 0:
         raise ValueError(f"gis_rhs requires m, order >= 0, got ({m}, {order})")
-    e_poly = schur_E(m - 2)
-    d_poly = schur_D(m - 2)
     shift = comb(m, 2)
-    working = order + shift + max(e_poly.degree, d_poly.degree, 0)
-    first = rr_product_first(working) * e_poly
-    second = rr_product_second(working) * d_poly
+    first = rr_product_first(order + shift) * schur_E(m - 2)
+    second = rr_product_second(order + shift) * schur_D(m - 2)
     sign = -1 if m % 2 else 1
-    combined = (first - second) * monomial(sign, -shift)
-    return combined.truncated(order)
+    return ((first - second) * monomial(sign, -shift)).truncated(order)
 
 
 def verify_gis(m: int, order: int) -> VerificationReport:

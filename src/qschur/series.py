@@ -427,6 +427,19 @@ def series_inverse(a: QSeries) -> QSeries:
     return QSeries(a.order - 2 * s, -s, inv)
 
 
+def divide_one_minus_qk(a: QSeries, k: int) -> QSeries:
+    """Exact quotient a / (1 - q^k), k >= 1: a stride-k prefix sum.
+
+    One O(N) pass of ``out[e] += out[e-k]``; ``a``'s window and order are kept.
+    """
+    if k < 1:
+        raise ValueError(f"divide_one_minus_qk requires k >= 1, got {k}")
+    out = list(a.coeffs)
+    for i in range(k, len(out)):
+        out[i] += out[i - k]
+    return QSeries(a.order, a.min_exp, out)
+
+
 def series_first_mismatch(
     a: QSeries, b: QSeries, up_to: int
 ) -> tuple[int, int, int] | None:

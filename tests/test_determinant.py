@@ -25,7 +25,7 @@ from qschur.series import (
     series_mul,
 )
 
-from .oracles import sum_side_coefficients
+from .oracles import partitions_max_part, sum_side_coefficients
 
 
 class TestSchurFinite:
@@ -95,6 +95,14 @@ class TestSchurCoefficient:
         s = schur_coefficient(2, 1, 8)
         assert [s.coefficient(e) for e in range(9)] == [0, 0, 0, 0, 0, 0, 1, 1, 2]
 
+    def test_matches_partition_oracle(self):
+        """q^N in a_n counts partitions of N - n^2 - mn into parts <= n."""
+        for n, m in ((1, 0), (3, 1), (5, 2)):
+            s = schur_coefficient(n, m, 80)
+            low = n * n + m * n
+            want = [partitions_max_part(e - low, n) for e in range(81)]
+            assert [s.coefficient(e) for e in range(81)] == want
+
     def test_lowest_exponent(self):
         for n, m in ((1, 0), (2, 3), (4, 1)):
             s = schur_coefficient(n, m, n * n + m * n + 5)
@@ -140,10 +148,10 @@ class TestSumSide:
             assert schur_x1_series(m, 0) == poly_to_series(ONE, 0)
 
     def test_matches_partition_oracle(self):
-        for m in (0, 1, 2, 3, 5, 8):
-            s = schur_x1_series(m, 40)
-            want = sum_side_coefficients(m, 40)
-            assert [s.coefficient(e) for e in range(41)] == want
+        for m, order in ((0, 150), (1, 150), (2, 40), (3, 40), (5, 150), (8, 40)):
+            s = schur_x1_series(m, order)
+            want = sum_side_coefficients(m, order)
+            assert [s.coefficient(e) for e in range(order + 1)] == want
 
 
 class TestDecompose:

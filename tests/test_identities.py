@@ -40,12 +40,12 @@ class TestProducts:
         assert [s2.coefficient(e) for e in range(13)] == RR2_COEFFS
 
     def test_against_partition_oracle(self):
-        s1, s2 = rr_product_first(60), rr_product_second(60)
-        assert [s1.coefficient(e) for e in range(61)] == rr_coefficients(
-            {1, 4}, 60
+        s1, s2 = rr_product_first(300), rr_product_second(300)
+        assert [s1.coefficient(e) for e in range(301)] == rr_coefficients(
+            {1, 4}, 300
         )
-        assert [s2.coefficient(e) for e in range(61)] == rr_coefficients(
-            {2, 3}, 60
+        assert [s2.coefficient(e) for e in range(301)] == rr_coefficients(
+            {2, 3}, 300
         )
 
     def test_negative_order_rejected(self):
@@ -93,6 +93,14 @@ class TestVerifyGis:
 
     def test_deep_shift(self):
         assert verify_gis(7, 150).passed
+
+    def test_order_1000_all_shifts(self):
+        """m = 0..20 at order 1000 takes well under a second with O(N)
+        division; a return to quadratic division makes this test slow."""
+        # Descending m, as the CLI runs it: the deepest products come first
+        # and every later shift is served from the product cache.
+        for m in range(20, -1, -1):
+            assert verify_gis(m, 1000).passed, m
 
     def test_report_fields(self):
         report = verify_gis(3, 40)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,8 @@ from qschur.series import (
     ONE,
     LaurentPoly,
     QSeries,
+    divide_one_minus_qk,
+    monomial,
     poly_to_series,
     series_inverse,
     series_mul,
@@ -23,6 +26,31 @@ polys = st.builds(
 )
 
 orders = st.integers(min_value=0, max_value=12)
+
+
+@st.composite
+def dense_series(draw):
+    """A series with ``min_exp >= 0``; ``min_exp == order + 1`` is zero."""
+    order = draw(st.integers(min_value=0, max_value=30))
+    min_exp = draw(st.integers(min_value=0, max_value=order + 1))
+    width = order - min_exp + 1
+    coeffs = draw(
+        st.lists(st.integers(-(10**20), 10**20), min_size=width, max_size=width)
+    )
+    return QSeries(order, min_exp, coeffs)
+
+
+nonnegative_series = st.one_of(
+    dense_series(),
+    orders.map(QSeries.zero),
+    st.builds(
+        lambda c, e, order: poly_to_series(monomial(c, e), order),
+        st.integers(-9, 9),
+        st.integers(0, 12),
+        orders,
+    ),
+)
+strides = st.integers(min_value=1, max_value=15)
 
 
 class TestPolyRingAxioms:
@@ -106,3 +134,21 @@ class TestSeriesContracts:
         prod = series_mul(a, inv)
         assert prod == QSeries.one(prod.order)
         assert prod.order == rel_order
+
+
+class TestDivideOneMinusQk:
+    @given(nonnegative_series, strides)
+    def test_matches_triangular_inverse(self, s, k):
+        """The prefix sum equals the product with the inverted factor."""
+        factor = poly_to_series(ONE - monomial(1, k), s.order)
+        assert divide_one_minus_qk(s, k) == s * series_inverse(factor)
+
+    @given(nonnegative_series, strides)
+    def test_round_trip(self, s, k):
+        quotient = divide_one_minus_qk(s, k)
+        assert quotient.times_poly(ONE - monomial(1, k)) == s
+
+    @pytest.mark.parametrize("k", [0, -1, -7])
+    def test_nonpositive_stride_rejected(self, k):
+        with pytest.raises(ValueError):
+            divide_one_minus_qk(QSeries.one(5), k)
