@@ -71,7 +71,7 @@ def schur_finite(n: int, m: int) -> LaurentPoly:
         )
         while len(table) <= n:
             k = len(table)
-            table.append(table[k - 1] + monomial(1, k + m) * table[k - 2])
+            table.append(table[k - 1] + table[k - 2].shifted(k + m))
         return table[n]
 
 

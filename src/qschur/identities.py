@@ -51,22 +51,28 @@ _product_cache: dict[frozenset[int], QSeries] = {}
 
 def _inverse_factor_product(residues: frozenset[int], order: int) -> QSeries:
     """Product of ``1/(1 - q^k)`` over ``k <= order`` with ``k mod 5`` allowed,
-    each factor divided out of 1 by an O(order) prefix sum."""
+    each factor divided out of 1 by an O(order) prefix sum.
+
+    A rebuild for a larger order goes to at least 1.5 times the cached
+    order, so a run of slowly rising orders rebuilds only a logarithmic
+    number of times.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     with _product_lock:
         cached = _product_cache.get(residues)
     if cached is not None and cached.order >= order:
         return cached.truncated(order)
-    acc = QSeries.one(order)
-    for k in range(1, order + 1):
+    build = order if cached is None else max(order, 3 * cached.order // 2)
+    acc = QSeries.one(build)
+    for k in range(1, build + 1):
         if k % 5 in residues:
             acc = divide_one_minus_qk(acc, k)
     with _product_lock:
         held = _product_cache.get(residues)
-        if held is None or held.order < order:
+        if held is None or held.order < build:
             _product_cache[residues] = acc
-    return acc
+    return acc.truncated(order)
 
 
 def rr_product_first(order: int) -> QSeries:

@@ -59,7 +59,7 @@ class _SchurTable:
             entries = self._entries
             while len(entries) <= m + 2:
                 k = len(entries) - 2  # index being built
-                entries.append(entries[-1] + monomial(1, k) * entries[-2])
+                entries.append(entries[-1] + entries[-2].shifted(k))
             return entries[m + 2]
 
 

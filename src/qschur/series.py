@@ -16,6 +16,7 @@ variable q is never evaluated at a number; it exists only through exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 
@@ -27,21 +28,45 @@ class OrderTooHighError(ValueError):
     """A comparison was requested beyond the known truncation order."""
 
 
+#: Nonzero coefficients the sparser operand of :func:`_convolve` needs before
+#: the product goes through Kronecker substitution instead of the schoolbook
+#: loop.  Set from the crossover table in ``CHANGES.md``.
+KRONECKER_MIN_TERMS = 16
+
+
 def _nonzero_count(coeffs: Sequence[int]) -> int:
-    return sum(1 for c in coeffs if c)
+    return len(coeffs) - coeffs.count(0)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     """Plain convolution of coefficient lists, keeping the first ``length`` slots.
 
-    Iterates over the operand with fewer nonzero entries; the inner loop is a
-    slice-wise list comprehension, which is the fastest pure-Python form.
+    Two kernels compute the same exact result.  When the sparser operand has
+    fewer than :data:`KRONECKER_MIN_TERMS` nonzero coefficients (monomials,
+    short factors) the schoolbook loop runs, costing one slice-wise pass over
+    the denser operand per nonzero term.  Otherwise :func:`_kronecker` packs
+    both operands into big integers and lets CPython's Karatsuba multiply
+    them.  Measured, Kronecker overtakes the loop at about 8 nonzero terms
+    for coefficients of up to 100 bits, 12 at 128 bits and 16 to 24 at 256
+    bits, whatever the length of the denser operand; 16 also keeps the
+    ``lambda(m)``, ``mu(m)`` factors of ``determinant --check`` (at most 13
+    terms for m <= 8) on the loop.
+    """
+    if length == 0 or not a or not b:
+        return [0] * length
+    na, nb = _nonzero_count(a), _nonzero_count(b)
+    if min(na, nb) >= KRONECKER_MIN_TERMS:
+        return _kronecker(a, b, length)
+    return _schoolbook(b, a, length) if na > nb else _schoolbook(a, b, length)
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """Convolution by one slice-wise pass over ``b`` per nonzero entry of ``a``.
+
+    The inner loop is a list comprehension, the fastest pure-Python form; it
+    is also the differential oracle for :func:`_kronecker`.
     """
     out = [0] * length
-    if length == 0 or not a or not b:
-        return out
-    if _nonzero_count(a) > _nonzero_count(b):
-        a, b = b, a
     for i, ca in enumerate(a):
         if i >= length:
             break
@@ -52,6 +77,49 @@ def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
             u + ca * v for u, v in zip(out[i : i + len(chunk)], chunk)
         ]
     return out
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """Convolution by Kronecker substitution with balanced ``w``-byte digits.
+
+    Each operand, cut to ``length``, is evaluated at ``2^(8w)`` as one big
+    integer, the two are multiplied once, and the product's digits are read
+    back.  A product coefficient is a sum of at most ``min(len(a), len(b))``
+    terms, so it has fewer than ``bits(a) + bits(b) + bit_length(min length)``
+    bits; one more bit for the sign gives ``w``.  Digits are stored biased by
+    ``half = 2^(8w-1)`` so every one packs and unpacks as an unsigned
+    ``w``-byte field with ``int.to_bytes``/``int.from_bytes``.
+    """
+    a, b = a[:length], b[:length]
+    bits = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length() + 1
+    w = (bits + 7) // 8
+    half = 1 << (8 * w - 1)
+    product = _pack(a, w, half) * _pack(b, w, half)
+    # Adding the bias to the low ``length`` digits and masking off the rest
+    # leaves each digit as ``coefficient + half``, with no carry between them.
+    size = length * w
+    digits = ((product + _bias(length, w)) & ((1 << (8 * size)) - 1)).to_bytes(
+        size, "little"
+    )
+    return [
+        int.from_bytes(digits[i : i + w], "little") - half
+        for i in range(0, size, w)
+    ]
+
+
+def _max_bits(coeffs: Sequence[int]) -> int:
+    return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _bias(n: int, w: int) -> int:
+    """``half`` in each of ``n`` digits of ``w`` bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs: Sequence[int], w: int, half: int) -> int:
+    """``sum(c_i * 2^(8 w i))``, every ``|c_i| < half``."""
+    biased = b"".join((c + half).to_bytes(w, "little") for c in coeffs)
+    return int.from_bytes(biased, "little") - _bias(len(coeffs), w)
 
 
 @dataclass(frozen=True)
@@ -114,14 +182,13 @@ class LaurentPoly:
             return other
         if other.is_zero():
             return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.degree, other.degree)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp + i - lo] += c
-        return LaurentPoly(lo, out)
+        low, high = (self, other) if self.min_exp <= other.min_exp else (other, self)
+        out = list(low.coeffs)
+        start = high.min_exp - low.min_exp
+        end = start + len(high.coeffs)
+        out.extend([0] * (end - len(out)))
+        out[start:end] = map(add, out[start:end], high.coeffs)
+        return LaurentPoly(low.min_exp, out)
 
     __radd__ = __add__
 

@@ -163,6 +163,8 @@ class TestDecompose:
     def test_examples(self):
         assert decompose(3, 2).passed
         assert decompose(10, 5).passed
+        assert decompose(140, 40).passed
+        assert decompose(180, 40).passed
 
     def test_report_shape(self):
         report = decompose(3, 2)

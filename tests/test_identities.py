@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from qschur import identities
 from qschur.identities import (
     gis_lhs,
     gis_rhs,
@@ -12,7 +13,7 @@ from qschur.identities import (
     verify_gis,
     verify_schur_limits,
 )
-from qschur.series import QSeries, series_first_mismatch
+from qschur.series import QSeries, divide_one_minus_qk, series_first_mismatch
 
 from .oracles import rr_coefficients
 
@@ -101,6 +102,27 @@ class TestVerifyGis:
         # and every later shift is served from the product cache.
         for m in range(20, -1, -1):
             assert verify_gis(m, 1000).passed, m
+
+    def test_ascending_shifts_rebuild_each_product_at_most_twice(self, monkeypatch):
+        """Orders 1000 + C(m, 2) rise with m; the cache grows by half each
+        rebuild, so two builds per product cover m = 0..20 in either order."""
+        builds = {1: 0, 2: 0}  # k = 1 and k = 2 open a P1 and a P2 build
+
+        def counting(a, k):
+            if k in builds:
+                builds[k] += 1
+            return divide_one_minus_qk(a, k)
+
+        monkeypatch.setattr(identities, "divide_one_minus_qk", counting)
+
+        def run(shifts):
+            monkeypatch.setattr(identities, "_product_cache", {})
+            return {m: (verify_gis(m, 1000), gis_rhs(m, 1000)) for m in shifts}
+
+        ascending = run(range(21))
+        assert builds[1] <= 2 and builds[2] <= 2, builds
+        assert ascending == run(range(20, -1, -1))
+        assert all(report.passed for report, _ in ascending.values())
 
     def test_report_fields(self):
         report = verify_gis(3, 40)

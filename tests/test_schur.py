@@ -102,7 +102,7 @@ class TestWronskian:
         assert wronskian(5) == monomial(-1, 15)
 
     def test_closed_form(self):
-        for m in range(0, 61):
+        for m in range(0, 121):
             sign = 1 if m % 2 == 0 else -1
             assert wronskian(m) == monomial(sign, comb(m + 1, 2))
 

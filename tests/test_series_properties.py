@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qschur import series
+from qschur.determinant import decompose
 from qschur.series import (
+    KRONECKER_MIN_TERMS,
     ONE,
     LaurentPoly,
     QSeries,
+    _convolve,
+    _kronecker,
+    _schoolbook,
     divide_one_minus_qk,
     monomial,
     poly_to_series,
@@ -51,6 +57,30 @@ nonnegative_series = st.one_of(
     ),
 )
 strides = st.integers(min_value=1, max_value=15)
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Non-empty signed lists with zeros, of up to about 300-bit entries.
+
+    Lengths reach past twice :data:`KRONECKER_MIN_TERMS`, so both sides of
+    the ``_convolve`` dispatch are drawn.
+    """
+    bits = draw(st.integers(min_value=0, max_value=300))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    size = st.integers(min_value=1, max_value=2 * KRONECKER_MIN_TERMS + 8)
+    return draw(st.lists(st.one_of(st.just(0), entry), min_size=1, max_size=draw(size)))
+
+
+@st.composite
+def carry_lists(draw):
+    """Entries from ``+-(2^b - 1)`` and ``-2^b``: every digit near its limit."""
+    bits = draw(st.integers(min_value=0, max_value=300))
+    extremes = st.sampled_from([(1 << bits) - 1, 1 - (1 << bits), -(1 << bits)])
+    return draw(st.lists(extremes, min_size=1, max_size=40))
+
+
+kernel_operands = st.one_of(coefficient_lists(), carry_lists())
 
 
 class TestPolyRingAxioms:
@@ -152,3 +182,49 @@ class TestDivideOneMinusQk:
     def test_nonpositive_stride_rejected(self, k):
         with pytest.raises(ValueError):
             divide_one_minus_qk(QSeries.one(5), k)
+
+
+class TestKroneckerKernel:
+    """Kronecker substitution against the schoolbook loop, its oracle."""
+
+    @settings(max_examples=200)
+    @given(kernel_operands, kernel_operands, st.data())
+    def test_matches_schoolbook(self, a, b, data):
+        """``length`` from below to above the full product length."""
+        length = data.draw(st.integers(min_value=1, max_value=len(a) + len(b) + 2))
+        expected = _schoolbook(a, b, length)
+        assert _kronecker(a, b, length) == expected
+        assert _convolve(a, b, length) == expected
+
+    @pytest.mark.parametrize("bits", [0, 1, 7, 8, 9, 31, 64, 100, 127, 128, 255, 300])
+    @pytest.mark.parametrize("size", [1, 2, 3, 15, 16, 127, 128])
+    def test_carry_extremes(self, bits, size):
+        """Equal extreme entries make every middle digit as wide as allowed."""
+        for x in ((1 << bits) - 1, 1 - (1 << bits), -(1 << bits)):
+            for y in ((1 << bits) - 1, -(1 << bits)):
+                a, b = [x] * size, [y] * (size + 1)
+                length = 2 * size
+                assert _kronecker(a, b, length) == _schoolbook(a, b, length)
+
+    def test_dispatch_by_sparser_operand(self, monkeypatch):
+        """Kronecker runs only when both operands reach the crossover."""
+        calls = []
+
+        def spy(a, b, length):
+            calls.append(length)
+            return _kronecker(a, b, length)
+
+        monkeypatch.setattr(series, "_kronecker", spy)
+        dense = list(range(1, 200))
+        sparse = [1] + [0] * 50 + [1] * (KRONECKER_MIN_TERMS - 2)
+        for a, b in ((sparse, dense), (dense, sparse), (dense, sparse + [1])):
+            length = len(a) + len(b) - 1
+            assert _convolve(a, b, length) == _schoolbook(a, b, length)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_determinant_check_products_stay_on_schoolbook(self, m, monkeypatch):
+        """``determinant --check`` multiplies lambda(m), mu(m) for small m
+        by deep Schur polynomials; those factors are too sparse to pack."""
+        monkeypatch.setattr(series, "_kronecker", None)
+        assert decompose(60, m).passed
