@@ -8,7 +8,6 @@ verification of the Garrett-Ismail-Stanton generalization.
 
 from .determinant import (
     DIRECT_ORACLE_MAX_N,
-    TooLargeError,
     check_coefficient_recurrence,
     decompose,
     schur_coefficient,
@@ -27,6 +26,7 @@ from .identities import (
 from .reports import CheckSuiteResult, Mismatch, VerificationReport, compare_series
 from .schur import (
     SchurKind,
+    TooLargeError,
     lambda_coeff,
     mu_coeff,
     schur_D,
@@ -42,14 +42,10 @@ from .series import (
     OrderTooHighError,
     QSeries,
     monomial,
-    poly_add,
     poly_first_mismatch,
-    poly_mul,
     poly_to_series,
-    series_add,
     series_first_mismatch,
     series_inverse,
-    series_mul,
 )
 
 __version__ = "0.1.0"
@@ -87,13 +83,9 @@ __all__ = [
     "OrderTooHighError",
     "QSeries",
     "monomial",
-    "poly_add",
     "poly_first_mismatch",
-    "poly_mul",
     "poly_to_series",
-    "series_add",
     "series_first_mismatch",
     "series_inverse",
-    "series_mul",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from .determinant import (
 )
 from .identities import rr_product_first, rr_product_second, verify_gis
 from .reports import Mismatch, VerificationReport
-from .schur import SchurKind, schur_polynomial
+from .schur import SchurKind, TooLargeError, schur_polynomial
 from .series import LaurentPoly, QSeries, poly_first_mismatch
 
 DEFAULT_VERIFY_ORDER = 200
@@ -100,7 +100,10 @@ def cmd_schur_poly(args: argparse.Namespace) -> int:
     if args.index < -2:
         return _usage_error("--index must be >= -2")
     kind = SchurKind[args.kind]
-    poly = schur_polynomial(kind, args.index)
+    try:
+        poly = schur_polynomial(kind, args.index)
+    except TooLargeError as exc:
+        return _usage_error(str(exc))
     if args.format == "json":
         print(canonical_json(poly_document(f"{args.kind}_{args.index}", poly)))
     else:
@@ -128,7 +131,13 @@ def cmd_determinant(args: argparse.Namespace) -> int:
         return _usage_error("--n must be >= 0")
     if args.m < 0:
         return _usage_error("--m must be >= 0")
-    poly = schur_finite(args.n, args.m)
+    # The decomposition reads the deepest tables, so it runs before anything
+    # is printed: a request refused for size leaves stdout empty.
+    try:
+        poly = schur_finite(args.n, args.m)
+        decomposition = decompose(args.n, args.m) if args.check else None
+    except TooLargeError as exc:
+        return _usage_error(str(exc))
     label = f"Schur_{args.n}(m={args.m})"
     if args.format == "json":
         print(canonical_json(poly_document(label, poly)))
@@ -153,7 +162,6 @@ def cmd_determinant(args: argparse.Namespace) -> int:
             f"{DIRECT_ORACLE_MAX_N}",
             file=sys.stderr,
         )
-    decomposition = decompose(args.n, args.m)
     checks.append(decomposition)
 
     if args.format == "json":

@@ -36,7 +36,14 @@ from .series import (
     poly_first_mismatch,
     poly_to_series,
 )
-from .schur import lambda_coeff, mu_coeff, schur_D, schur_E
+from .schur import (
+    RecurrenceTable,
+    TooLargeError,
+    lambda_coeff,
+    mu_coeff,
+    schur_D,
+    schur_E,
+)
 
 __all__ = [
     "TooLargeError",
@@ -50,29 +57,26 @@ __all__ = [
 ]
 
 
-class TooLargeError(ValueError):
-    """The direct cofactor-expansion oracle refuses matrices past its bound."""
-
-
 #: Largest n accepted by :func:`schur_finite_direct`.
 DIRECT_ORACLE_MAX_N = 14
 
-_finite_tables: dict[int, list[LaurentPoly]] = {}
+_finite_tables: dict[int, RecurrenceTable] = {}
 _finite_lock = threading.Lock()
 
 
 def schur_finite(n: int, m: int) -> LaurentPoly:
-    """``Schur_n`` for shift ``m``, via the three-term recursion (memoized per m)."""
+    """``Schur_n`` for shift ``m``, via the three-term recursion (one table per m).
+
+    Running it backward gives ``Schur_{-1} = 1`` and ``Schur_{-2} = 0``, the
+    initial values of ``D``; at ``m = 0`` the two coincide.
+    """
     if n < 0 or m < 0:
         raise ValueError(f"schur_finite requires n, m >= 0, got ({n}, {m})")
-    with _finite_lock:
-        table = _finite_tables.setdefault(
-            m, [LaurentPoly(0, (1,)), LaurentPoly(0, (1,)) + monomial(1, 1 + m)]
-        )
-        while len(table) <= n:
-            k = len(table)
-            table.append(table[k - 1] + table[k - 2].shifted(k + m))
-        return table[n]
+    table = _finite_tables.get(m)
+    if table is None:
+        with _finite_lock:
+            table = _finite_tables.setdefault(m, RecurrenceTable(0, 1, m))
+    return table.entry(n)
 
 
 def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:

@@ -20,9 +20,11 @@ import enum
 import threading
 from math import comb
 
-from .series import LaurentPoly, monomial
+from .series import LaurentPoly, _pack, _unpack, monomial
 
 __all__ = [
+    "TABLE_BUDGET_BYTES",
+    "TooLargeError",
     "SchurKind",
     "schur_polynomial",
     "schur_D",
@@ -40,32 +42,129 @@ class SchurKind(enum.Enum):
     E = "E"
 
 
-class _SchurTable:
-    """Memoized table of one family, indexed from -2 upward.
+class TooLargeError(ValueError):
+    """A request past a fixed size bound: a recurrence table over
+    :data:`TABLE_BUDGET_BYTES`, or the direct determinant oracle past its cap."""
 
-    The recursion is inherently sequential, so entries are built once, in
-    order, under a lock; completed entries are immutable and may be read
-    concurrently.
+
+#: Bytes of packed entries one recurrence table may hold.  A request whose
+#: table would need more is refused with :class:`TooLargeError` before any
+#: entry is built; ``D_400`` needs about 189 MB, ``D_1000`` about 7.3 GB.
+TABLE_BUDGET_BYTES = 1 << 28
+
+
+def _width(total: int) -> int:
+    """Bytes per balanced digit for coefficients in ``0..total``: a sign bit more."""
+    return (total.bit_length() + 8) // 8
+
+
+def _digits(value: int, w: int) -> int:
+    """Digits of a packed entry; its top coefficient is never zero."""
+    return -(-value.bit_length() // (8 * w))
+
+
+class RecurrenceTable:
+    """``X_k = X_{k-1} + q^(k+shift) X_{k-2}`` from constants ``X_{-2}, X_{-1}``.
+
+    Each entry is kept as one big integer, its coefficients packed as the
+    ``w``-byte digits of :func:`series._pack`, so a step is one shift and
+    one add on integers: ``b + (a << 8*w*(k+shift))``.  No coefficient is
+    negative, so none exceeds the coefficient sum ``S_k``, which follows the
+    same recurrence at ``q = 1``; ``w`` for every entry through a target
+    index is therefore known before the build.  When a request needs a wider
+    ``w``, the two frontier values are repacked, for a target at least 1.5x
+    the current length while that stays in budget; older entries keep their
+    own width.  An entry becomes a :class:`LaurentPoly` on its first read and
+    replaces its packed slot.
+
+    Builds and first reads run under one lock; a read of an entry already
+    unpacked takes no lock.
     """
 
-    def __init__(self, x_minus2: LaurentPoly, x_minus1: LaurentPoly):
-        self._entries = [x_minus2, x_minus1]  # indices -2, -1
+    def __init__(self, x_minus2: int, x_minus1: int, shift: int = 0):
+        self._initial = (x_minus2, x_minus1)
+        self._shift = shift
+        self._w = 1
+        self._frontier = self._initial  # the two highest entries, packed at _w
+        self._slots: list[LaurentPoly | tuple[int, int]] = [
+            (x_minus2, 1),
+            (x_minus1, 1),
+        ]  # index k at k + 2: an unpacked entry or (packed value, w)
         self._lock = threading.Lock()
 
-    def up_to(self, m: int) -> LaurentPoly:
-        if m + 2 < len(self._entries):
-            return self._entries[m + 2]
+    def entry(self, k: int) -> LaurentPoly:
+        """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget."""
+        i = k + 2
+        slots = self._slots
+        if i < len(slots) and isinstance(slot := slots[i], LaurentPoly):
+            return slot
         with self._lock:
-            entries = self._entries
-            while len(entries) <= m + 2:
-                k = len(entries) - 2  # index being built
-                entries.append(entries[-1] + entries[-2].shifted(k))
-            return entries[m + 2]
+            if i >= len(slots):
+                self._extend(k)
+            slot = slots[i]
+            if not isinstance(slot, LaurentPoly):
+                value, w = slot
+                slot = slots[i] = LaurentPoly(0, _unpack(value, _digits(value, w), w))
+            return slot
+
+    def footprint(self, n: int) -> int:
+        """``sum(len_k) * w`` over ``k = -2..n``: bytes of the entries packed
+        at the width ``n`` needs.
+
+        Computed from integer recurrences alone.  Nothing cancels, so the
+        digit count is ``len_k = max(len_{k-1}, k + shift + len_{k-2})`` (0
+        for a zero entry), and ``S_k = S_{k-1} + S_{k-2}``.  Once the entries
+        so far exceed :data:`TABLE_BUDGET_BYTES` at their own width the scan
+        stops and returns that count, which is above the budget too.
+        """
+        (s2, s1), shift = self._initial, self._shift
+        l2, l1 = int(s2 > 0), int(s1 > 0)  # a constant has one digit, zero none
+        total = l2 + l1
+        for k in range(n + 1):
+            s2, s1 = s1, s1 + s2
+            l2, l1 = l1, max(l1, k + shift + l2 if l2 else 0)
+            total += l1
+            if total * _width(s1) > TABLE_BUDGET_BYTES:
+                break
+        return total * _width(s1)
+
+    def _sum(self, n: int) -> int:
+        """The coefficient sum ``S_n``."""
+        s2, s1 = self._initial
+        for _ in range(n + 1):
+            s2, s1 = s1, s1 + s2
+        return s1
+
+    def _extend(self, n: int) -> None:
+        """Build every entry through ``n``; caller holds the lock."""
+        if self.footprint(n) > TABLE_BUDGET_BYTES:
+            raise TooLargeError(
+                f"a recurrence table through index {n} needs more than "
+                f"{TABLE_BUDGET_BYTES} bytes"
+            )
+        slots = self._slots
+        w = _width(self._sum(n))
+        if w > self._w:
+            target = 3 * len(slots) // 2 - 2
+            if target > n and self.footprint(target) <= TABLE_BUDGET_BYTES:
+                w = _width(self._sum(target))
+            half = 1 << (8 * w - 1)
+            self._frontier = tuple(
+                _pack(_unpack(x, _digits(x, self._w), self._w), w, half)
+                for x in self._frontier
+            )
+            self._w = w
+        a, b = self._frontier
+        bits, w = 8 * self._w, self._w
+        for k in range(len(slots) - 2, n + 1):
+            a, b = b, b + (a << bits * (k + self._shift))
+            slots.append((b, w))
+        self._frontier = (a, b)
 
 
 _TABLES = {
-    SchurKind.D: _SchurTable(LaurentPoly(), LaurentPoly(0, (1,))),
-    SchurKind.E: _SchurTable(LaurentPoly(0, (1,)), LaurentPoly()),
+    SchurKind.D: RecurrenceTable(0, 1),
+    SchurKind.E: RecurrenceTable(1, 0),
 }
 
 
@@ -73,7 +172,7 @@ def schur_polynomial(kind: SchurKind, m: int) -> LaurentPoly:
     """The Schur polynomial of the given family at index ``m >= -2``."""
     if m < -2:
         raise IndexError(f"Schur polynomial index must be >= -2, got {m}")
-    return _TABLES[kind].up_to(m)
+    return _TABLES[kind].entry(m)
 
 
 def schur_D(m: int) -> LaurentPoly:

@@ -15,8 +15,10 @@ variable q is never evaluated at a number; it exists only through exponents.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, sub
 from typing import Sequence
 
 
@@ -94,17 +96,7 @@ def _kronecker(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     bits = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length() + 1
     w = (bits + 7) // 8
     half = 1 << (8 * w - 1)
-    product = _pack(a, w, half) * _pack(b, w, half)
-    # Adding the bias to the low ``length`` digits and masking off the rest
-    # leaves each digit as ``coefficient + half``, with no carry between them.
-    size = length * w
-    digits = ((product + _bias(length, w)) & ((1 << (8 * size)) - 1)).to_bytes(
-        size, "little"
-    )
-    return [
-        int.from_bytes(digits[i : i + w], "little") - half
-        for i in range(0, size, w)
-    ]
+    return _unpack(_pack(a, w, half) * _pack(b, w, half), length, w)
 
 
 def _max_bits(coeffs: Sequence[int]) -> int:
@@ -118,8 +110,27 @@ def _bias(n: int, w: int) -> int:
 
 def _pack(coeffs: Sequence[int], w: int, half: int) -> int:
     """``sum(c_i * 2^(8 w i))``, every ``|c_i| < half``."""
-    biased = b"".join((c + half).to_bytes(w, "little") for c in coeffs)
+    biased = b"".join(
+        map(int.to_bytes, map(add, coeffs, repeat(half)), repeat(w), repeat("little"))
+    )
     return int.from_bytes(biased, "little") - _bias(len(coeffs), w)
+
+
+def _unpack(value: int, length: int, w: int) -> list[int]:
+    """The low ``length`` balanced ``w``-byte digits of ``value``; undoes :func:`_pack`.
+
+    Adding the bias to the low ``length`` digits and masking off the rest
+    leaves each digit as ``coefficient + half``, with no carry between them,
+    whatever digits ``value`` has above them.
+    """
+    size = length * w
+    digits = ((value + _bias(length, w)) & ((1 << (8 * size)) - 1)).to_bytes(
+        size, "little"
+    )
+    fields = re.findall(b".{%d}" % w, digits, re.DOTALL)  # the w-byte digits
+    return list(
+        map(sub, map(int.from_bytes, fields, repeat("little")), repeat(1 << (8 * w - 1)))
+    )
 
 
 @dataclass(frozen=True)
@@ -276,16 +287,6 @@ ONE = LaurentPoly(0, (1,))
 def monomial(c: int, k: int) -> LaurentPoly:
     """The monomial ``c * q^k`` (the zero polynomial when ``c == 0``)."""
     return LaurentPoly(k, (c,))
-
-
-def poly_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact sum of two Laurent polynomials."""
-    return a + b
-
-
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product of two Laurent polynomials."""
-    return a * b
 
 
 def poly_first_mismatch(
@@ -452,16 +453,6 @@ def poly_to_series(a: LaurentPoly, order: int) -> QSeries:
     window = a.coeffs[: order - a.min_exp + 1]
     pad = (order - a.min_exp + 1) - len(window)
     return QSeries(order, a.min_exp, window + (0,) * pad)
-
-
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    """Exact sum; the result order is the smaller of the operand orders."""
-    return a + b
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Exact product up to ``min(a.order + b.min_exp, b.order + a.min_exp)``."""
-    return a * b
 
 
 def series_inverse(a: QSeries) -> QSeries:

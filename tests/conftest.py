@@ -1,0 +1,25 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import pytest
+
+from qschur import determinant, schur
+from qschur.schur import RecurrenceTable, SchurKind
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty D, E and ``Schur_n`` tables for one test; returns a function that
+    empties them again."""
+
+    def reset() -> None:
+        monkeypatch.setattr(
+            schur,
+            "_TABLES",
+            {SchurKind.D: RecurrenceTable(0, 1), SchurKind.E: RecurrenceTable(1, 0)},
+        )
+        monkeypatch.setattr(determinant, "_finite_tables", {})
+
+    reset()
+    return reset

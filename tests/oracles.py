@@ -1,13 +1,26 @@
-"""Brute-force combinatorial oracles used to check series coefficients.
+"""Slow reference computations used to check the library's fast paths.
 
-Everything here counts integer partitions by recursive enumeration; no series
-arithmetic is involved, so these values are independent of the code under
-test.
+The partition counters enumerate integer partitions recursively; no series
+arithmetic is involved, so their values are independent of the code under
+test.  :func:`recurrence_entries` runs the three-term recurrence in plain
+:class:`LaurentPoly` arithmetic, with none of the packed tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from qschur.series import LaurentPoly, monomial
+
+
+def recurrence_entries(
+    x0: LaurentPoly, x1: LaurentPoly, shift: int, n: int
+) -> list[LaurentPoly]:
+    """``X_0 .. X_n`` of ``X_k = X_{k-1} + q^(k+shift) X_{k-2}`` from ``X_0, X_1``."""
+    entries = [x0, x1]
+    for k in range(2, n + 1):
+        entries.append(entries[k - 1] + monomial(1, k + shift) * entries[k - 2])
+    return entries[: n + 1]
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,23 @@ class TestSchurPolyCommand:
         }
 
 
+    def test_over_budget_index_refused_fast(self):
+        """A fresh process refuses from the size estimate, before building."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qschur", "schur-poly", "--kind", "D",
+             "--index", "100000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "bytes" in proc.stderr
+        assert elapsed < 1.0
+
+
 class TestProductCommand:
     def test_text_table(self, capsys):
         code, out, _ = run_cli(capsys, "product", "--which", "rr1", "--order", "7")
@@ -183,6 +201,18 @@ class TestDeterminantCommand:
     def test_negative_arguments_rejected(self, capsys):
         assert run_cli(capsys, "determinant", "--n", "-1", "--m", "0")[0] == 2
         assert run_cli(capsys, "determinant", "--n", "0", "--m", "-1")[0] == 2
+
+
+    def test_over_budget_refused_with_empty_stdout(self, capsys, fresh_tables):
+        code, out, err = run_cli(capsys, "determinant", "--n", "100000", "--m", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        # Schur_10 itself is small; the decomposition needs D_2010 and E_2010.
+        code, out, err = run_cli(
+            capsys, "determinant", "--n", "10", "--m", "2000", "--check"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestParserBehavior:

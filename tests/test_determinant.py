@@ -22,7 +22,6 @@ from qschur.series import (
     Q,
     monomial,
     poly_to_series,
-    series_mul,
 )
 
 from .oracles import partitions_max_part, sum_side_coefficients
@@ -123,7 +122,7 @@ class TestCoefficientRecurrence:
         lhs_series = schur_coefficient(1, 0, order) + poly_to_series(
             monomial(1, 5), order
         )
-        lhs = series_mul(poly_to_series(ONE - Q, order), lhs_series)
+        lhs = poly_to_series(ONE - Q, order) * lhs_series
         rhs = schur_coefficient(0, 0, order).times_poly(monomial(1, 1))
         report = compare_series(
             "perturbed", {"n": 1, "m": 0}, lhs, rhs, order

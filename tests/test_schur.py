@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
 
+import qschur
+from qschur import determinant, schur
+from qschur.determinant import schur_finite
 from qschur.schur import (
+    TABLE_BUDGET_BYTES,
+    RecurrenceTable,
     SchurKind,
+    TooLargeError,
     lambda_coeff,
     mu_coeff,
     schur_D,
@@ -16,6 +23,8 @@ from qschur.schur import (
     wronskian,
 )
 from qschur.series import ONE, LaurentPoly, Q, monomial
+
+from .oracles import recurrence_entries
 
 
 class TestInitialValues:
@@ -153,3 +162,143 @@ class TestLambdaMu:
             row1 = lam * schur_D(m + 1) + mu * schur_E(m + 1)
             assert row0 == ONE
             assert row1 == ONE + monomial(1, 1 + m)
+
+
+def _oracle(kind: str, n: int) -> list[LaurentPoly]:
+    """``X_0 .. X_n`` for ``D``, ``E`` or ``Schur_n`` with shift ``m`` (``"S3"``)."""
+    if kind == "D":
+        return recurrence_entries(ONE, ONE + Q, 0, n)
+    if kind == "E":
+        return recurrence_entries(ONE, ONE, 0, n)
+    m = int(kind[1:])
+    return recurrence_entries(ONE, ONE + monomial(1, 1 + m), m, n)
+
+
+def _read(kind: str, k: int) -> LaurentPoly:
+    if kind == "D":
+        return schur_D(k)
+    if kind == "E":
+        return schur_E(k)
+    return schur_finite(k, int(kind[1:]))
+
+
+def _table(kind: str) -> RecurrenceTable:
+    if kind in ("D", "E"):
+        return schur._TABLES[SchurKind[kind]]
+    return determinant._finite_tables[int(kind[1:])]
+
+
+KINDS = ["D", "E"] + [f"S{m}" for m in range(9)]
+
+
+class TestRecurrenceTable:
+    """The packed engine against plain LaurentPoly arithmetic."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_oracle_in_any_read_order(self, kind, order, fresh_tables):
+        expected = _oracle(kind, 70)
+        indices = list(range(71))
+        if order == "descending":
+            indices.reverse()
+        elif order == "shuffled":
+            random.Random(kind).shuffle(indices)
+        for k in indices:
+            assert _read(kind, k) == expected[k], (kind, k)
+
+    @pytest.mark.parametrize("kind", ["D", "E", "S8"])
+    def test_width_repack(self, kind, fresh_tables):
+        """Each of the reads at 20, 60 and 220 needs wider digits than the
+        table has; every entry, at whatever width it was packed, still
+        matches."""
+        for k in (20, 60, 220):
+            _read(kind, k)
+        widths = {slot[1] for slot in _table(kind)._slots if isinstance(slot, tuple)}
+        assert len(widths) == 4  # the initial width and three repacks
+        expected = _oracle(kind, 220)
+        indices = list(range(221))
+        random.Random(0).shuffle(indices)
+        for k in indices:
+            assert _read(kind, k) == expected[k], (kind, k)
+
+    def test_ascending_reads_widen_geometrically(self):
+        """A repack sizes the digits for 1.5x the current length, so reading
+        ``D_-2 .. D_220`` one by one passes through 7 widths, not one per
+        byte of the final 20."""
+        table = RecurrenceTable(0, 1)
+        widths = set()
+        for k in range(-2, 221):
+            table.entry(k)
+            widths.add(table._w)
+        assert len(widths) <= 8
+
+    def test_coefficient_sums_are_fibonacci(self, fresh_tables):
+        """At ``q = 1`` the recurrence is Fibonacci's: ``D_k(1) = F_{k+2}``,
+        ``E_k(1) = F_{k+1}`` (with ``F_{-1} = 1``), and ``Schur_n(1) = F_{n+2}``
+        for every shift."""
+        fib = [1, 0, 1]  # F_{-1}, F_0, F_1
+        while len(fib) < 100:
+            fib.append(fib[-1] + fib[-2])
+        assert [sum(schur_D(k).coeffs) for k in range(-2, 90)] == fib[1:93]
+        assert [sum(schur_E(k).coeffs) for k in range(-2, 90)] == fib[0:92]
+        for m in range(9):
+            assert [sum(schur_finite(n, m).coeffs) for n in range(90)] == fib[3:93]
+
+    def test_entries_unpack_on_first_read_only(self, fresh_tables):
+        top = schur_D(150)
+        table = schur._TABLES[SchurKind.D]
+        unpacked = [
+            k for k, slot in enumerate(table._slots, -2) if isinstance(slot, LaurentPoly)
+        ]
+        assert unpacked == [150]
+        assert schur_D(150) is top
+        low = schur_D(20)
+        assert schur_D(20) is low
+        assert isinstance(table._slots[20 + 2], LaurentPoly)
+        assert isinstance(table._slots[19 + 2], tuple)
+
+
+class TestTableBudget:
+    @staticmethod
+    def _bytes(entries: list[LaurentPoly], initial: list[LaurentPoly]) -> int:
+        """Packed size of ``X_{-2} .. X_n`` from the polynomials themselves:
+        one digit per exponent ``0 .. degree``, at the width ``X_n``'s
+        coefficient sum needs, with a sign bit."""
+        digits = sum(p.degree + 1 for p in initial + entries if not p.is_zero())
+        width = (sum(entries[-1].coeffs).bit_length() + 8) // 8
+        return digits * width
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 100, 150])
+    def test_footprint_from_the_degree_and_sum_recurrences(self, n):
+        zero = LaurentPoly()
+        cases = [
+            (RecurrenceTable(0, 1), _oracle("D", n), [zero, ONE]),
+            (RecurrenceTable(1, 0), _oracle("E", n), [ONE, zero]),
+            (RecurrenceTable(0, 1, 5), _oracle("S5", n), [zero, ONE]),
+        ]
+        for table, entries, initial in cases:
+            assert table.footprint(n) == self._bytes(entries, initial)
+            assert len(table._slots) == 2  # estimating builds nothing
+
+    def test_budget_boundary(self):
+        """``D_400`` (about 189 MB packed) fits; ``D_500`` (462 MB) does not."""
+        d = RecurrenceTable(0, 1)
+        assert d.footprint(400) <= TABLE_BUDGET_BYTES < d.footprint(500)
+
+    def test_huge_index_stops_early(self):
+        """The scan for an index far past the budget stops within a few
+        hundred steps instead of running to the index."""
+        assert RecurrenceTable(0, 1).footprint(10**12) > TABLE_BUDGET_BYTES
+
+    def test_over_budget_refused_before_building(self, fresh_tables):
+        with pytest.raises(TooLargeError):
+            schur_D(1000)
+        with pytest.raises(TooLargeError):
+            schur_finite(2000, 3)
+        assert len(schur._TABLES[SchurKind.D]._slots) == 2
+        assert len(determinant._finite_tables[3]._slots) == 2
+        assert schur_D(5) == _oracle("D", 5)[5]
+
+    def test_error_is_reexported(self):
+        assert qschur.TooLargeError is TooLargeError
+        assert determinant.TooLargeError is TooLargeError

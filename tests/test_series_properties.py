@@ -15,12 +15,13 @@ from qschur.series import (
     QSeries,
     _convolve,
     _kronecker,
+    _pack,
     _schoolbook,
+    _unpack,
     divide_one_minus_qk,
     monomial,
     poly_to_series,
     series_inverse,
-    series_mul,
 )
 
 # Small polynomials keep shrinking fast while still exercising carries,
@@ -83,6 +84,20 @@ def carry_lists(draw):
 kernel_operands = st.one_of(coefficient_lists(), carry_lists())
 
 
+@st.composite
+def codec_cases(draw):
+    """A digit width ``w`` and signed lists that fit it: zeros, single terms
+    and the limits ``+-(half - 1)``."""
+    w = draw(st.integers(min_value=1, max_value=40))
+    half = 1 << (8 * w - 1)
+    entry = st.one_of(
+        st.just(0),
+        st.sampled_from([half - 1, 1 - half, 1, -1]),
+        st.integers(1 - half, half - 1),
+    )
+    return draw(st.lists(entry, max_size=40)), w, half
+
+
 class TestPolyRingAxioms:
     @given(polys, polys)
     def test_add_commutes(self, a, b):
@@ -127,7 +142,7 @@ class TestSeriesContracts:
         """Series product equals the exact product wherever both are known."""
         sa = poly_to_series(a, order)
         sb = poly_to_series(b, order)
-        prod = series_mul(sa, sb)
+        prod = sa * sb
         exact = a * b
         for e in range(-30, prod.order + 1):
             assert prod.coefficient(e) == exact.coefficient(e)
@@ -161,7 +176,7 @@ class TestSeriesContracts:
         coeffs = [1] + tail
         a = poly_to_series(LaurentPoly(shift, coeffs), rel_order + shift)
         inv = series_inverse(a)
-        prod = series_mul(a, inv)
+        prod = a * inv
         assert prod == QSeries.one(prod.order)
         assert prod.order == rel_order
 
@@ -182,6 +197,19 @@ class TestDivideOneMinusQk:
     def test_nonpositive_stride_rejected(self, k):
         with pytest.raises(ValueError):
             divide_one_minus_qk(QSeries.one(5), k)
+
+
+class TestDigitCodec:
+    """The balanced digit codec shared by the kernel and the recurrence tables."""
+
+    @settings(max_examples=300)
+    @given(codec_cases(), st.data())
+    def test_round_trip(self, case, data):
+        coeffs, w, half = case
+        packed = _pack(coeffs, w, half)
+        assert _unpack(packed, len(coeffs), w) == coeffs
+        low = data.draw(st.integers(min_value=0, max_value=len(coeffs)))
+        assert _unpack(packed, low, w) == coeffs[:low]
 
 
 class TestKroneckerKernel:

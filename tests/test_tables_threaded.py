@@ -6,10 +6,8 @@ import random
 import sys
 import threading
 
-from qschur import determinant, schur
 from qschur.determinant import schur_finite
-from qschur.schur import SchurKind, schur_D, schur_E
-from qschur.series import ONE, LaurentPoly
+from qschur.schur import schur_D, schur_E
 
 REQUESTS = (
     [(schur_D, (k,)) for k in range(-2, 90)]
@@ -18,30 +16,15 @@ REQUESTS = (
 )
 
 
-def _fresh_tables(monkeypatch) -> None:
-    monkeypatch.setattr(
-        schur,
-        "_TABLES",
-        {
-            SchurKind.D: schur._SchurTable(LaurentPoly(), ONE),
-            SchurKind.E: schur._SchurTable(ONE, LaurentPoly()),
-        },
-    )
-    monkeypatch.setattr(determinant, "_finite_tables", {})
-
-
 def _key(fn, args):
     return (fn.__name__, *args)
 
 
-def test_interleaved_requests_match_a_serial_run(monkeypatch):
-    _fresh_tables(monkeypatch)
-    serial = {_key(fn, args): fn(*args) for fn, args in REQUESTS}
-
-    _fresh_tables(monkeypatch)
+def _run_threads(count: int = 8) -> list[dict]:
+    """Each of ``count`` threads makes every request, in its own shuffled order."""
     results: list[dict] = []
     errors: list[Exception] = []
-    start = threading.Barrier(8)
+    start = threading.Barrier(count)
 
     def worker(seed: int) -> None:
         order = list(REQUESTS)
@@ -58,7 +41,7 @@ def test_interleaved_requests_match_a_serial_run(monkeypatch):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(count)]
         for t in threads:
             t.start()
         for t in threads:
@@ -67,6 +50,31 @@ def test_interleaved_requests_match_a_serial_run(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    assert len(results) == 8
+    assert len(results) == count
+    return results
+
+
+def test_interleaved_requests_match_a_serial_run(fresh_tables):
+    serial = {_key(fn, args): fn(*args) for fn, args in REQUESTS}
+
+    fresh_tables()
+    for got in _run_threads():
+        assert got == serial
+
+
+def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables):
+    """Every table is built to its top first, so the threads race only on
+    unpacking entries nobody has read; each entry is unpacked once, and
+    every thread gets that one object."""
+    serial = {_key(fn, args): fn(*args) for fn, args in REQUESTS}
+
+    fresh_tables()
+    schur_D(89)
+    schur_E(89)
+    for m in range(4):
+        schur_finite(59, m)
+    results = _run_threads()
     for got in results:
         assert got == serial
+        for key, value in got.items():
+            assert value is results[0][key], key
