@@ -16,7 +16,6 @@ from .determinant import (
     schur_x1_series,
 )
 from .identities import (
-    gis_lhs,
     gis_rhs,
     rr_product_first,
     rr_product_second,
@@ -59,7 +58,6 @@ __all__ = [
     "schur_finite",
     "schur_finite_direct",
     "schur_x1_series",
-    "gis_lhs",
     "gis_rhs",
     "rr_product_first",
     "rr_product_second",

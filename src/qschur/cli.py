@@ -84,11 +84,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max:
         return _usage_error("--m-min must not exceed --m-max")
     # Descending m computes the deepest-order products first, so the product
-    # cache serves every later shift by truncation.  Reports print ascending.
-    reports = {
-        m: verify_gis(m, args.order)
-        for m in range(args.m_max, args.m_min - 1, -1)
-    }
+    # cache serves every later shift by truncation, and a shift refused for
+    # size is refused before any work.  Reports print ascending.
+    try:
+        reports = {
+            m: verify_gis(m, args.order)
+            for m in range(args.m_max, args.m_min - 1, -1)
+        }
+    except TooLargeError as exc:
+        return _usage_error(str(exc))
     any_failed = False
     for m in range(args.m_min, args.m_max + 1):
         _emit_report(reports[m], args.format)

@@ -32,7 +32,6 @@ from .series import QSeries, divide_one_minus_qk, monomial, poly_to_series
 __all__ = [
     "rr_product_first",
     "rr_product_second",
-    "gis_lhs",
     "gis_rhs",
     "verify_gis",
     "verify_schur_limits",
@@ -88,35 +87,31 @@ def rr_product_second(order: int) -> QSeries:
     return _inverse_factor_product(frozenset({2, 3}), order)
 
 
-def gis_lhs(m: int, order: int) -> QSeries:
-    """Sum side ``sum q^(n^2+mn) / ((1-q)...(1-q^n))``, truncated at ``order``.
-
-    Identical by construction to :func:`qschur.determinant.schur_x1_series`;
-    this is the identity-facing name.
-    """
-    return schur_x1_series(m, order)
-
-
 def gis_rhs(m: int, order: int) -> QSeries:
     """Product side ``(-1)^m q^(-binomial(m,2)) (E_{m-2} P1 - D_{m-2} P2)``.
 
     Multiplying a series by an exact polynomial with no negative exponents
     loses no order; only the leading ``q^(-binomial(m, 2))`` lowers it, so the
     two products are computed through ``order + binomial(m, 2)``.
+
+    Both Schur polynomials are read before either product is built, so a
+    shift whose table is over budget raises :class:`TooLargeError` at once
+    (``D_{m-2}`` first: its table leaves the budget one index before ``E``'s).
     """
     if m < 0 or order < 0:
         raise ValueError(f"gis_rhs requires m, order >= 0, got ({m}, {order})")
+    d, e = schur_D(m - 2), schur_E(m - 2)
     shift = comb(m, 2)
-    first = rr_product_first(order + shift) * schur_E(m - 2)
-    second = rr_product_second(order + shift) * schur_D(m - 2)
+    first = rr_product_first(order + shift) * e
+    second = rr_product_second(order + shift) * d
     sign = -1 if m % 2 else 1
     return ((first - second) * monomial(sign, -shift)).truncated(order)
 
 
 def verify_gis(m: int, order: int) -> VerificationReport:
     """Compare both sides of the identity coefficient by coefficient."""
-    lhs = gis_lhs(m, order)
-    rhs = gis_rhs(m, order)
+    rhs = gis_rhs(m, order)  # first: it refuses an over-budget m at once
+    lhs = schur_x1_series(m, order)
     return compare_series("gis", {"m": m, "order": order}, lhs, rhs, order)
 
 

@@ -2,31 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .series import QSeries, series_first_mismatch
+from .series import QSeries, _Record, series_first_mismatch
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Record):
     """The first exponent at which two sides of a check disagree."""
 
-    exponent: int
-    lhs: int
-    rhs: int
+    __slots__ = ("exponent", "lhs", "rhs")
+
+    def __init__(self, exponent: int, lhs: int, rhs: int):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of a single identity check.
 
     ``status`` is "fail" exactly when a mismatch is present; ``params`` keeps
-    its insertion order for deterministic rendering.
+    its insertion order for deterministic rendering, and defaults to a fresh
+    empty dict.
     """
 
-    label: str
-    params: dict[str, int] = field(default_factory=dict)
-    mismatch: Mismatch | None = None
+    __slots__ = ("label", "params", "mismatch")
+
+    def __init__(
+        self,
+        label: str,
+        params: dict[str, int] | None = None,
+        mismatch: Mismatch | None = None,
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "mismatch", mismatch)
 
     @property
     def passed(self) -> bool:
@@ -59,11 +67,13 @@ class VerificationReport:
         return obj
 
 
-@dataclass(frozen=True)
-class CheckSuiteResult:
+class CheckSuiteResult(_Record):
     """Aggregate of reports over a parameter range."""
 
-    reports: tuple[VerificationReport, ...]
+    __slots__ = ("reports",)
+
+    def __init__(self, reports: tuple[VerificationReport, ...]):
+        object.__setattr__(self, "reports", reports)
 
     @property
     def all_passed(self) -> bool:

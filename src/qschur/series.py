@@ -16,10 +16,9 @@ variable q is never evaluated at a number; it exists only through exponents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import repeat
 from operator import add, sub
-from typing import Sequence
 
 
 class NotInvertibleError(ArithmeticError):
@@ -133,8 +132,45 @@ def _unpack(value: int, length: int, w: int) -> list[int]:
     )
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class _Record:
+    """Base of the immutable value types: the fields are the ``__slots__``.
+
+    A subclass lists its fields in ``__slots__``, takes them positionally in
+    that order, and sets them in ``__init__`` with ``object.__setattr__``.
+    Instances are equal only to instances of the same class with equal
+    fields, hash their fields, refuse assignment and deletion, pickle and
+    copy by calling the class on their fields, and print as
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class LaurentPoly(_Record):
     """A Laurent polynomial over the integers.
 
     ``coeffs[i]`` is the coefficient of ``q^(min_exp + i)``.  Instances are
@@ -149,8 +185,7 @@ class LaurentPoly:
     LaurentPoly('0')
     """
 
-    min_exp: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("min_exp", "coeffs")
 
     def __init__(self, min_exp: int = 0, coeffs: Sequence[int] = ()):
         lo, hi = 0, len(coeffs)
@@ -304,8 +339,7 @@ def poly_first_mismatch(
     return None
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(_Record):
     """A Laurent series truncated at an inclusive order.
 
     ``coeffs`` covers exponents ``min_exp .. order``; exponents below
@@ -315,9 +349,7 @@ class QSeries:
     and an empty tuple.
     """
 
-    order: int
-    min_exp: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "min_exp", "coeffs")
 
     def __init__(self, order: int, min_exp: int, coeffs: Sequence[int] = ()):
         if len(coeffs) != order - min_exp + 1:

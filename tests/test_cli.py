@@ -114,6 +114,32 @@ class TestSchurPolyCommand:
         assert elapsed < 1.0
 
 
+class TestVerifyRefusal:
+    def test_over_budget_shift_refused_fast(self):
+        """A fresh process refuses m = 1000 (it needs ``D_998``) from the
+        table size estimate, before any series is built."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qschur", "verify", "--m-min", "1000",
+             "--m-max", "1000", "--order", "10"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "bytes" in proc.stderr
+        assert elapsed < 1.0
+
+    def test_refusal_prints_no_report_of_smaller_shifts(self, capsys, fresh_tables):
+        code, out, err = run_cli(
+            capsys, "verify", "--m-min", "0", "--m-max", "439", "--order", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "index 437" in err
+
+
 class TestProductCommand:
     def test_text_table(self, capsys):
         code, out, _ = run_cli(capsys, "product", "--which", "rr1", "--order", "7")

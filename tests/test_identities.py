@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from qschur import identities
+from qschur.determinant import schur_x1_series
+from qschur.schur import TooLargeError
 from qschur.identities import (
-    gis_lhs,
     gis_rhs,
     rr_product_first,
     rr_product_second,
@@ -74,16 +75,16 @@ class TestRightHandSide:
         assert [got.coefficient(e) for e in range(7)] == [1, 0, 0, 1, 1, 1, 1]
 
     def test_lhs_examples(self):
-        s = gis_lhs(0, 4)
+        s = schur_x1_series(0, 4)
         assert [s.coefficient(e) for e in range(5)] == [1, 1, 1, 1, 2]
-        s = gis_lhs(1, 5)
+        s = schur_x1_series(1, 5)
         assert [s.coefficient(e) for e in range(6)] == [1, 0, 1, 1, 1, 1]
         for m in range(4):
-            assert gis_lhs(m, 0) == QSeries.one(0)
+            assert schur_x1_series(m, 0) == QSeries.one(0)
 
     def test_lhs_coefficients_nonnegative(self):
         for m in range(0, 12):
-            s = gis_lhs(m, 50)
+            s = schur_x1_series(m, 50)
             assert all(s.coefficient(e) >= 0 for e in range(51))
 
 
@@ -123,6 +124,24 @@ class TestVerifyGis:
         assert builds[1] <= 2 and builds[2] <= 2, builds
         assert ascending == run(range(20, -1, -1))
         assert all(report.passed for report, _ in ascending.values())
+
+    def test_over_budget_shift_refused_before_any_series(
+        self, monkeypatch, fresh_tables
+    ):
+        """``D_437`` is the first entry over the table budget, so m = 439 is
+        the first shift refused; the refusal comes before either product or
+        the sum side is built."""
+
+        def unreachable(*args):
+            raise AssertionError("built a series for a refused shift")
+
+        monkeypatch.setattr(identities, "_product_cache", {})
+        monkeypatch.setattr(identities, "divide_one_minus_qk", unreachable)
+        monkeypatch.setattr(identities, "schur_x1_series", unreachable)
+        for m in (439, 440, 1000):
+            with pytest.raises(TooLargeError):
+                verify_gis(m, 10)
+        assert identities._product_cache == {}
 
     def test_report_fields(self):
         report = verify_gis(3, 40)
