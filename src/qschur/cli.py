@@ -54,14 +54,8 @@ def qseries_document(label: str, s: QSeries) -> dict:
 def format_series_table(s: QSeries) -> str:
     """Aligned exponent/coefficient table, ascending exponents."""
     labels = [f"q^{e}" for e in range(s.min_exp, s.order + 1)]
-    if not labels:
-        return ""
-    width = max(len(lbl) for lbl in labels)
-    lines = [
-        f"{lbl:<{width}}  {s.coefficient(e)}"
-        for lbl, e in zip(labels, range(s.min_exp, s.order + 1))
-    ]
-    return "\n".join(lines)
+    width = max(map(len, labels), default=0)
+    return "\n".join(f"{lbl:<{width}}  {c}" for lbl, c in zip(labels, s.coeffs))
 
 
 def _usage_error(message: str) -> int:

@@ -60,22 +60,26 @@ __all__ = [
 #: Largest n accepted by :func:`schur_finite_direct`.
 DIRECT_ORACLE_MAX_N = 14
 
-_finite_tables: dict[int, RecurrenceTable] = {}
+#: ``Schur_n`` tables kept at once, one per shift; the least recently read goes.
+FINITE_TABLES_MAX = 8
+
+_finite_tables: dict[int, RecurrenceTable] = {}  # in order of last use
 _finite_lock = threading.Lock()
 
 
 def schur_finite(n: int, m: int) -> LaurentPoly:
-    """``Schur_n`` for shift ``m``, via the three-term recursion (one table per m).
+    """``Schur_n`` for shift ``m``, via the three-term recursion (an LRU of tables).
 
     Running it backward gives ``Schur_{-1} = 1`` and ``Schur_{-2} = 0``, the
     initial values of ``D``; at ``m = 0`` the two coincide.
     """
     if n < 0 or m < 0:
         raise ValueError(f"schur_finite requires n, m >= 0, got ({n}, {m})")
-    table = _finite_tables.get(m)
-    if table is None:
-        with _finite_lock:
-            table = _finite_tables.setdefault(m, RecurrenceTable(0, 1, m))
+    with _finite_lock:
+        table = _finite_tables.pop(m, None) or RecurrenceTable(0, 1, m)
+        _finite_tables[m] = table
+        if len(_finite_tables) > FINITE_TABLES_MAX:
+            del _finite_tables[next(iter(_finite_tables))]
     return table.entry(n)
 
 

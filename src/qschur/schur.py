@@ -24,6 +24,7 @@ from .series import LaurentPoly, _pack, _unpack, monomial
 
 __all__ = [
     "TABLE_BUDGET_BYTES",
+    "CHECKPOINT_SPACING",
     "TooLargeError",
     "SchurKind",
     "schur_polynomial",
@@ -52,6 +53,10 @@ class TooLargeError(ValueError):
 #: entry is built; ``D_400`` needs about 189 MB, ``D_1000`` about 7.3 GB.
 TABLE_BUDGET_BYTES = 1 << 28
 
+#: A table keeps the packed pair ``(X_{j-1}, X_j)`` at every ``j`` divisible by
+#: this, so a first read rebuilds its entry in at most this many steps less one.
+CHECKPOINT_SPACING = 8
+
 
 def _width(total: int) -> int:
     """Bytes per balanced digit for coefficients in ``0..total``: a sign bit more."""
@@ -66,16 +71,20 @@ def _digits(value: int, w: int) -> int:
 class RecurrenceTable:
     """``X_k = X_{k-1} + q^(k+shift) X_{k-2}`` from constants ``X_{-2}, X_{-1}``.
 
-    Each entry is kept as one big integer, its coefficients packed as the
+    Each entry is built as one big integer, its coefficients packed as the
     ``w``-byte digits of :func:`series._pack`, so a step is one shift and
     one add on integers: ``b + (a << 8*w*(k+shift))``.  No coefficient is
     negative, so none exceeds the coefficient sum ``S_k``, which follows the
     same recurrence at ``q = 1``; ``w`` for every entry through a target
-    index is therefore known before the build.  When a request needs a wider
-    ``w``, the two frontier values are repacked, for a target at least 1.5x
-    the current length while that stays in budget; older entries keep their
-    own width.  An entry becomes a :class:`LaurentPoly` on its first read and
-    replaces its packed slot.
+    index is therefore known before the build.
+
+    The table keeps the frontier pair ``(X_{top-1}, X_top)``, a checkpoint
+    ``(X_{j-1}, X_j, w)`` at each ``j`` divisible by :data:`CHECKPOINT_SPACING`
+    and the entries read so far.  A first read walks from the checkpoint at
+    or below it, at that checkpoint's width, and a build is the same walk
+    from the frontier, which is repacked when a request needs a wider ``w``
+    (sized for at least 1.5x the current length while that stays in budget).
+    Every width covers the entries up to the next checkpoint.
 
     Builds and first reads run under one lock; a read of an entry already
     unpacked takes no lock.
@@ -85,31 +94,34 @@ class RecurrenceTable:
         self._initial = (x_minus2, x_minus1)
         self._shift = shift
         self._w = 1
-        self._frontier = self._initial  # the two highest entries, packed at _w
-        self._slots: list[LaurentPoly | tuple[int, int]] = [
-            (x_minus2, 1),
-            (x_minus1, 1),
-        ]  # index k at k + 2: an unpacked entry or (packed value, w)
+        self._top = -1
+        self._frontier = self._initial  # (X_{top-1}, X_top), packed at _w
+        self._checkpoints: list[tuple[int, int, int]] = []  # i: the pair at j = 8i
+        self._read: dict[int, LaurentPoly] = {}
         self._lock = threading.Lock()
 
     def entry(self, k: int) -> LaurentPoly:
         """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget."""
-        i = k + 2
-        slots = self._slots
-        if i < len(slots) and isinstance(slot := slots[i], LaurentPoly):
-            return slot
+        poly = self._read.get(k)
+        if poly is not None:
+            return poly
         with self._lock:
-            if i >= len(slots):
+            if k in self._read:
+                return self._read[k]
+            if k > self._top:
                 self._extend(k)
-            slot = slots[i]
-            if not isinstance(slot, LaurentPoly):
-                value, w = slot
-                slot = slots[i] = LaurentPoly(0, _unpack(value, _digits(value, w), w))
-            return slot
+            if k < 0:
+                value, w = self._initial[k + 2], 1
+            else:
+                j = k - k % CHECKPOINT_SPACING
+                a, b, w = self._checkpoints[j // CHECKPOINT_SPACING]
+                value = self._walk(a, b, j, k, w)[1]
+            poly = self._read[k] = LaurentPoly(0, _unpack(value, _digits(value, w), w))
+            return poly
 
     def footprint(self, n: int) -> int:
         """``sum(len_k) * w`` over ``k = -2..n``: bytes of the entries packed
-        at the width ``n`` needs.
+        at the width ``n`` needs, a bound on the packed values the table holds.
 
         Computed from integer recurrences alone.  Nothing cancels, so the
         digit count is ``len_k = max(len_{k-1}, k + shift + len_{k-2})`` (0
@@ -128,38 +140,46 @@ class RecurrenceTable:
                 break
         return total * _width(s1)
 
-    def _sum(self, n: int) -> int:
-        """The coefficient sum ``S_n``."""
+    def _width_through(self, n: int) -> int:
+        """``w`` for every entry up to the checkpoint after ``n``."""
         s2, s1 = self._initial
-        for _ in range(n + 1):
+        for _ in range(n - n % CHECKPOINT_SPACING + CHECKPOINT_SPACING):
             s2, s1 = s1, s1 + s2
-        return s1
+        return _width(s1)
+
+    def _walk(self, a: int, b: int, j: int, k: int, w: int) -> tuple[int, int]:
+        """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, to ``(X_{k-1}, X_k)``."""
+        bits = 8 * w
+        for i in range(j + 1, k + 1):
+            a, b = b, b + (a << bits * (i + self._shift))
+        return a, b
 
     def _extend(self, n: int) -> None:
-        """Build every entry through ``n``; caller holds the lock."""
+        """Walk the frontier up to ``n``, keeping checkpoints; caller holds the lock."""
         if self.footprint(n) > TABLE_BUDGET_BYTES:
             raise TooLargeError(
                 f"a recurrence table through index {n} needs more than "
                 f"{TABLE_BUDGET_BYTES} bytes"
             )
-        slots = self._slots
-        w = _width(self._sum(n))
+        w = self._width_through(n)
         if w > self._w:
-            target = 3 * len(slots) // 2 - 2
+            target = 3 * (self._top + 3) // 2 - 2
             if target > n and self.footprint(target) <= TABLE_BUDGET_BYTES:
-                w = _width(self._sum(target))
+                w = self._width_through(target)
             half = 1 << (8 * w - 1)
             self._frontier = tuple(
                 _pack(_unpack(x, _digits(x, self._w), self._w), w, half)
                 for x in self._frontier
             )
             self._w = w
-        a, b = self._frontier
-        bits, w = 8 * self._w, self._w
-        for k in range(len(slots) - 2, n + 1):
-            a, b = b, b + (a << bits * (k + self._shift))
-            slots.append((b, w))
-        self._frontier = (a, b)
+        (a, b), j, w = self._frontier, self._top, self._w
+        while j < n:
+            stop = min(n, j - j % CHECKPOINT_SPACING + CHECKPOINT_SPACING)
+            a, b = self._walk(a, b, j, stop, w)
+            j = stop
+            if j % CHECKPOINT_SPACING == 0:
+                self._checkpoints.append((a, b, w))
+        self._frontier, self._top = (a, b), n
 
 
 _TABLES = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, sub
 
 
@@ -264,25 +264,6 @@ class LaurentPoly(_Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        result = LaurentPoly(0, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def shifted(self, k: int) -> LaurentPoly:
-        """Multiply by ``q^k`` (shift every exponent by ``k``)."""
-        if self.is_zero():
-            return self
-        return LaurentPoly(self.min_exp + k, self.coeffs)
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -324,19 +305,28 @@ def monomial(c: int, k: int) -> LaurentPoly:
     return LaurentPoly(k, (c,))
 
 
+def _first_mismatch(
+    a: LaurentPoly | QSeries, b: LaurentPoly | QSeries, up_to: int
+) -> tuple[int, int, int] | None:
+    """Smallest ``e <= up_to`` where the coefficients differ, with both of them,
+    from one scan of the two coefficient windows aligned at the lower start."""
+    lo = min(a.min_exp, b.min_exp)
+    aligned = zip(
+        range(lo, up_to + 1),
+        chain(repeat(0, a.min_exp - lo), a.coeffs, repeat(0)),
+        chain(repeat(0, b.min_exp - lo), b.coeffs, repeat(0)),
+    )
+    for e, ca, cb in aligned:
+        if ca != cb:
+            return (e, ca, cb)
+    return None
+
+
 def poly_first_mismatch(
     a: LaurentPoly, b: LaurentPoly
 ) -> tuple[int, int, int] | None:
     """Smallest exponent where two polynomials differ, with both coefficients."""
-    if a == b:
-        return None
-    lo = min(a.min_exp, b.min_exp)
-    hi = max(a.degree, b.degree)
-    for e in range(lo, hi + 1):
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            return (e, ca, cb)
-    return None
+    return None if a == b else _first_mismatch(a, b, max(a.degree, b.degree))
 
 
 class QSeries(_Record):
@@ -397,16 +387,11 @@ class QSeries(_Record):
         order = min(self.order, other.order)
         lo = min(self.min_exp, other.min_exp, order + 1)
         out = [0] * (order - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            e = self.min_exp + i
-            if e > order:
-                break
-            out[e - lo] += c
-        for i, c in enumerate(other.coeffs):
-            e = other.min_exp + i
-            if e > order:
-                break
-            out[e - lo] += c
+        for part in (self, other):
+            start = part.min_exp - lo
+            chunk = part.coeffs[: max(0, len(out) - start)]
+            end = start + len(chunk)
+            out[start:end] = map(add, out[start:end], chunk)
         return QSeries(order, lo, out)
 
     def __neg__(self) -> QSeries:
@@ -543,8 +528,4 @@ def series_first_mismatch(
             f"comparison up to q^{up_to} exceeds known orders "
             f"({a.order}, {b.order})"
         )
-    for e in range(min(a.min_exp, b.min_exp), up_to + 1):
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            return (e, ca, cb)
-    return None
+    return _first_mismatch(a, b, up_to)

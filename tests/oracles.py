@@ -4,13 +4,34 @@ The partition counters enumerate integer partitions recursively; no series
 arithmetic is involved, so their values are independent of the code under
 test.  :func:`recurrence_entries` runs the three-term recurrence in plain
 :class:`LaurentPoly` arithmetic, with none of the packed tables.
+:func:`poly_shifted` and :func:`poly_pow` build polynomials from the
+library's addition and multiplication alone.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from qschur.series import LaurentPoly, monomial
+from qschur.series import ONE, LaurentPoly
+
+
+def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
+    """``q^k p``: every exponent moved by ``k``."""
+    return LaurentPoly(p.min_exp + k, p.coeffs) if p.coeffs else p
+
+
+def poly_pow(p: LaurentPoly, n: int) -> LaurentPoly:
+    """``p^n`` for ``n >= 0`` by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative powers of a general Laurent polynomial")
+    result = ONE
+    while n:
+        if n & 1:
+            result = result * p
+        n >>= 1
+        if n:
+            p = p * p
+    return result
 
 
 def recurrence_entries(
@@ -19,7 +40,7 @@ def recurrence_entries(
     """``X_0 .. X_n`` of ``X_k = X_{k-1} + q^(k+shift) X_{k-2}`` from ``X_0, X_1``."""
     entries = [x0, x1]
     for k in range(2, n + 1):
-        entries.append(entries[k - 1] + monomial(1, k + shift) * entries[k - 2])
+        entries.append(entries[k - 1] + poly_shifted(entries[k - 2], k + shift))
     return entries[: n + 1]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from qschur import determinant
 from qschur.determinant import (
     DIRECT_ORACLE_MAX_N,
     TooLargeError,
@@ -53,6 +54,28 @@ class TestSchurFinite:
                 a, b = schur_finite(n, m), schur_finite(n - 1, m)
                 for e in range(n + m):
                     assert a.coefficient(e) == b.coefficient(e)
+
+    def test_tables_are_bounded_least_recently_used_first(self, fresh_tables):
+        """Reading ``N + 1`` shifts keeps ``N`` tables; the table dropped is
+        the one read longest ago, and reading its shift again rebuilds equal
+        entries."""
+        cap = determinant.FINITE_TABLES_MAX
+        assert cap >= 8
+        first = [schur_finite(n, 0) for n in range(40)]
+        for m in range(1, cap):
+            schur_finite(40, m)
+        schur_finite(3, 0)  # shift 0 is now the most recently read
+        schur_finite(40, cap)
+        assert list(determinant._finite_tables) == [*range(2, cap), 0, cap]
+        schur_finite(40, 1)
+        assert len(determinant._finite_tables) == cap
+        assert 1 in determinant._finite_tables and 2 not in determinant._finite_tables
+        for m in range(100, 100 + cap):
+            schur_finite(5, m)
+        assert 0 not in determinant._finite_tables
+        again = [schur_finite(n, 0) for n in range(40)]
+        assert again == first
+        assert all(a is not b for a, b in zip(again, first))
 
 
 class TestDirectOracle:

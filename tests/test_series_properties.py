@@ -20,7 +20,9 @@ from qschur.series import (
     _unpack,
     divide_one_minus_qk,
     monomial,
+    poly_first_mismatch,
     poly_to_series,
+    series_first_mismatch,
     series_inverse,
 )
 
@@ -155,6 +157,31 @@ class TestSeriesContracts:
         exact = a + b
         for e in range(-30, total.order + 1):
             assert total.coefficient(e) == exact.coefficient(e)
+
+    @given(polys, polys, orders, orders)
+    def test_add_of_unequal_orders(self, a, b, order_a, order_b):
+        """A sum is known to the lower order, as each side's sum of terms."""
+        sa, sb = poly_to_series(a, order_a), poly_to_series(b, order_b)
+        total = sa + sb
+        assert total.order == min(order_a, order_b)
+        for e in range(-30, total.order + 1):
+            assert total.coefficient(e) == sa.coefficient(e) + sb.coefficient(e)
+
+    @given(polys, polys, st.integers(-3, 3), st.integers(-6, 18), orders)
+    def test_mismatch_scans_match_a_per_exponent_scan(self, a, b, c, e, up_to):
+        """Both aligned scans agree with comparing ``coefficient()`` exponent
+        by exponent, on random pairs and on pairs one term apart."""
+
+        def scan(x, y, hi):
+            for k in range(-30, hi + 1):
+                if x.coefficient(k) != y.coefficient(k):
+                    return (k, x.coefficient(k), y.coefficient(k))
+            return None
+
+        for x, y in ((a, b), (a, a + monomial(c, e))):
+            assert poly_first_mismatch(x, y) == scan(x, y, 30)
+            sx, sy = poly_to_series(x, 12), poly_to_series(y, 12)
+            assert series_first_mismatch(sx, sy, up_to) == scan(sx, sy, up_to)
 
     @given(polys, orders)
     def test_series_window_invariant(self, a, order):

@@ -6,8 +6,10 @@ import random
 import sys
 import threading
 
+from qschur import schur
 from qschur.determinant import schur_finite
 from qschur.schur import schur_D, schur_E
+from qschur.series import _unpack
 
 REQUESTS = (
     [(schur_D, (k,)) for k in range(-2, 90)]
@@ -62,18 +64,23 @@ def test_interleaved_requests_match_a_serial_run(fresh_tables):
         assert got == serial
 
 
-def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables):
+def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypatch):
     """Every table is built to its top first, so the threads race only on
-    unpacking entries nobody has read; each entry is unpacked once, and
-    every thread gets that one object."""
+    rebuilding entries nobody has read from their checkpoints; each entry is
+    unpacked once, and every thread gets that one object."""
     serial = {_key(fn, args): fn(*args) for fn, args in REQUESTS}
 
     fresh_tables()
-    schur_D(89)
-    schur_E(89)
-    for m in range(4):
-        schur_finite(59, m)
+    tops = [schur_D(89), schur_E(89)] + [schur_finite(59, m) for m in range(4)]
+    unpacked = []
+
+    def counting_unpack(value, length, w):
+        unpacked.append(length)  # list.append is atomic
+        return _unpack(value, length, w)
+
+    monkeypatch.setattr(schur, "_unpack", counting_unpack)
     results = _run_threads()
+    assert len(unpacked) == len(REQUESTS) - len(tops)
     for got in results:
         assert got == serial
         for key, value in got.items():
