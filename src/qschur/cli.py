@@ -19,9 +19,9 @@ from .determinant import (
     schur_finite_direct,
 )
 from .identities import rr_product_first, rr_product_second, verify_gis
-from .reports import Mismatch, VerificationReport
+from .reports import VerificationReport, compare_polys
 from .schur import SchurKind, TooLargeError, schur_polynomial
-from .series import LaurentPoly, QSeries, poly_first_mismatch
+from .series import LaurentPoly, QSeries
 
 DEFAULT_VERIFY_ORDER = 200
 DEFAULT_M_MIN = 0
@@ -77,9 +77,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error("--m-min must be >= 0")
     if args.m_min > args.m_max:
         return _usage_error("--m-min must not exceed --m-max")
-    # Descending m computes the deepest-order products first, so the product
-    # cache serves every later shift by truncation, and a shift refused for
-    # size is refused before any work.  Reports print ascending.
+    # Descending m, so a shift refused for size is refused before any work.
+    # Reports print ascending.
     try:
         reports = {
             m: verify_gis(m, args.order)
@@ -147,11 +146,8 @@ def cmd_determinant(args: argparse.Namespace) -> int:
     checks: list[VerificationReport] = []
     oracle_status = "skipped"
     if args.n <= DIRECT_ORACLE_MAX_N:
-        found = poly_first_mismatch(poly, schur_finite_direct(args.n, args.m))
-        mismatch = None if found is None else Mismatch(*found)
-        oracle = VerificationReport(
-            label="oracle", params={"n": args.n, "m": args.m}, mismatch=mismatch
-        )
+        direct = schur_finite_direct(args.n, args.m)
+        oracle = compare_polys("oracle", {"n": args.n, "m": args.m}, poly, direct)
         checks.append(oracle)
         oracle_status = oracle.status
     else:

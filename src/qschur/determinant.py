@@ -27,13 +27,12 @@ from __future__ import annotations
 import threading
 from operator import add
 
-from .reports import Mismatch, VerificationReport, compare_series
+from .reports import VerificationReport, compare_polys, compare_series
 from .series import (
     LaurentPoly,
     QSeries,
     divide_one_minus_qk,
     monomial,
-    poly_first_mismatch,
     poly_to_series,
 )
 from .schur import (
@@ -194,8 +193,4 @@ def decompose(n: int, m: int) -> VerificationReport:
     rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
     # Equality with lhs (a polynomial with constant term 1) already implies no
     # negative exponent survives; any stray q^(-k) term shows up as a mismatch.
-    found = poly_first_mismatch(lhs, rhs)
-    mismatch = None if found is None else Mismatch(*found)
-    return VerificationReport(
-        label="decomposition", params={"n": n, "m": m}, mismatch=mismatch
-    )
+    return compare_polys("decomposition", {"n": n, "m": m}, lhs, rhs)

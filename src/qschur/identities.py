@@ -22,12 +22,12 @@ coefficient to a requested truncation order, with zero tolerance.
 from __future__ import annotations
 
 import threading
-from math import comb
+from math import comb, isqrt
 
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
 from .schur import schur_D, schur_E
-from .series import QSeries, divide_one_minus_qk, monomial, poly_to_series
+from .series import QSeries, monomial, poly_to_series
 
 __all__ = [
     "rr_product_first",
@@ -40,38 +40,36 @@ __all__ = [
 ]
 
 
-# Highest-order product computed so far, per residue class.  A factor with
-# k > order is 1 + O(q^(order+1)), so a longer product truncates to exactly
-# the shorter one; requests at or below the cached order are served by
-# truncation.  The lock only guards the dict; values are immutable.
+# P1 (r = 1) and P2 (r = 2) through the highest order asked so far.  A list
+# only grows, so a shorter request is a slice; the lock serializes appends.
 _product_lock = threading.Lock()
-_product_cache: dict[frozenset[int], QSeries] = {}
+_products: dict[int, list[int]] = {1: [], 2: []}
 
 
-def _inverse_factor_product(residues: frozenset[int], order: int) -> QSeries:
-    """Product of ``1/(1 - q^k)`` over ``k <= order`` with ``k mod 5`` allowed,
-    each factor divided out of 1 by an O(order) prefix sum.
+def _rr_product(r: int, order: int) -> QSeries:
+    """``P_r`` through ``q^order``, computing only the coefficients not yet held.
 
-    A rebuild for a larger order goes to at least 1.5 times the cached
-    order, so a run of slowly rising orders rebuilds only a logarithmic
-    number of times.
+    By the Jacobi triple product ``P_r (q;q)_inf`` is the theta series
+    ``sum_n (-1)^n q^(5n(n-1)/2 + (3-r)n)``, so Euler's pentagonal theorem gives
+    ``c_k = theta_k + sum_{j>=1} (-1)^(j+1) (c_{k-j(3j-1)/2} + c_{k-j(3j+1)/2})``.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    with _product_lock:
-        cached = _product_cache.get(residues)
-    if cached is not None and cached.order >= order:
-        return cached.truncated(order)
-    build = order if cached is None else max(order, 3 * cached.order // 2)
-    acc = QSeries.one(build)
-    for k in range(1, build + 1):
-        if k % 5 in residues:
-            acc = divide_one_minus_qk(acc, k)
-    with _product_lock:
-        held = _product_cache.get(residues)
-        if held is None or held.order < build:
-            _product_cache[residues] = acc
-    return acc.truncated(order)
+    c = _products[r]
+    if len(c) <= order:
+        with _product_lock:
+            theta = {}
+            for n in range(-isqrt(order), isqrt(order) + 1):  # n(5n+1-2r)/2 >= n^2
+                theta[n * (5 * n + 1 - 2 * r) // 2] = (-1) ** (n & 1)
+            for k in range(len(c), order + 1):
+                total, j, g = theta.get(k, 0), 1, 1  # g = j(3j-1)/2
+                while g <= k:
+                    term = c[k - g] + (c[k - g - j] if g + j <= k else 0)
+                    total = total + term if j & 1 else total - term
+                    j += 1
+                    g += 3 * j - 2
+                c.append(total)
+    return QSeries(order, 0, c[: order + 1])
 
 
 def rr_product_first(order: int) -> QSeries:
@@ -79,12 +77,12 @@ def rr_product_first(order: int) -> QSeries:
 
     Generating function of partitions into such parts.
     """
-    return _inverse_factor_product(frozenset({1, 4}), order)
+    return _rr_product(1, order)
 
 
 def rr_product_second(order: int) -> QSeries:
     """The product over exponents congruent to 2 or 3 mod 5, truncated."""
-    return _inverse_factor_product(frozenset({2, 3}), order)
+    return _rr_product(2, order)
 
 
 def gis_rhs(m: int, order: int) -> QSeries:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .series import QSeries, _Record, series_first_mismatch
+from .series import LaurentPoly, QSeries, _Record
+from .series import poly_first_mismatch, series_first_mismatch
 
 
 class Mismatch(_Record):
@@ -98,5 +99,14 @@ def compare_series(
 ) -> VerificationReport:
     """Build a report from a coefficient-by-coefficient series comparison."""
     found = series_first_mismatch(lhs, rhs, up_to)
+    mismatch = None if found is None else Mismatch(*found)
+    return VerificationReport(label=label, params=params, mismatch=mismatch)
+
+
+def compare_polys(
+    label: str, params: dict[str, int], lhs: LaurentPoly, rhs: LaurentPoly
+) -> VerificationReport:
+    """Build a report from an exact comparison of two Laurent polynomials."""
+    found = poly_first_mismatch(lhs, rhs)
     mismatch = None if found is None else Mismatch(*found)
     return VerificationReport(label=label, params=params, mismatch=mismatch)

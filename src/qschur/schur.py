@@ -105,6 +105,8 @@ class RecurrenceTable:
         poly = self._read.get(k)
         if poly is not None:
             return poly
+        if k < -2:
+            raise IndexError(f"Schur polynomial index must be >= -2, got {k}")
         with self._lock:
             if k in self._read:
                 return self._read[k]
@@ -190,8 +192,6 @@ _TABLES = {
 
 def schur_polynomial(kind: SchurKind, m: int) -> LaurentPoly:
     """The Schur polynomial of the given family at index ``m >= -2``."""
-    if m < -2:
-        raise IndexError(f"Schur polynomial index must be >= -2, got {m}")
     return _TABLES[kind].entry(m)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qschur import determinant, schur
+from qschur import determinant, identities, schur
 from qschur.schur import RecurrenceTable, SchurKind
 
 
@@ -20,6 +20,18 @@ def fresh_tables(monkeypatch):
             {SchurKind.D: RecurrenceTable(0, 1), SchurKind.E: RecurrenceTable(1, 0)},
         )
         monkeypatch.setattr(determinant, "_finite_tables", {})
+
+    reset()
+    return reset
+
+
+@pytest.fixture
+def fresh_products(monkeypatch):
+    """Empty coefficient lists for both Rogers-Ramanujan products for one
+    test; returns a function that empties them again."""
+
+    def reset() -> None:
+        monkeypatch.setattr(identities, "_products", {1: [], 2: []})
 
     reset()
     return reset

@@ -5,14 +5,16 @@ arithmetic is involved, so their values are independent of the code under
 test.  :func:`recurrence_entries` runs the three-term recurrence in plain
 :class:`LaurentPoly` arithmetic, with none of the packed tables.
 :func:`poly_shifted` and :func:`poly_pow` build polynomials from the
-library's addition and multiplication alone.
+library's addition and multiplication alone.  :func:`prefix_sum_product`
+builds a Rogers-Ramanujan product factor by factor, one division by
+``1 - q^k`` each, with no pentagonal recurrence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from qschur.series import ONE, LaurentPoly
+from qschur.series import ONE, LaurentPoly, QSeries, divide_one_minus_qk
 
 
 def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
@@ -42,6 +44,16 @@ def recurrence_entries(
     for k in range(2, n + 1):
         entries.append(entries[k - 1] + poly_shifted(entries[k - 2], k + shift))
     return entries[: n + 1]
+
+
+def prefix_sum_product(residues: set[int], order: int) -> QSeries:
+    """Product of ``1/(1 - q^k)`` over ``k <= order`` with ``k % 5`` in
+    ``residues``: one O(order) prefix sum per factor, O(order^2) in all."""
+    acc = QSeries.one(order)
+    for k in range(1, order + 1):
+        if k % 5 in residues:
+            acc = divide_one_minus_qk(acc, k)
+    return acc
 
 
 @lru_cache(maxsize=None)

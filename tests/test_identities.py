@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from functools import lru_cache
+from math import comb
+
 import pytest
 
 from qschur import identities
@@ -14,12 +18,17 @@ from qschur.identities import (
     verify_gis,
     verify_schur_limits,
 )
-from qschur.series import QSeries, divide_one_minus_qk, series_first_mismatch
+from qschur.series import QSeries, series_first_mismatch
 
-from .oracles import rr_coefficients
+from .oracles import prefix_sum_product, rr_coefficients
 
 RR1_COEFFS = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
 RR2_COEFFS = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
+
+
+@lru_cache(maxsize=None)
+def _oracle(residues: frozenset[int], order: int) -> QSeries:
+    return prefix_sum_product(residues, order)
 
 
 class TestProducts:
@@ -55,6 +64,21 @@ class TestProducts:
             rr_product_first(-1)
         with pytest.raises(ValueError):
             rr_product_second(-3)
+
+    @pytest.mark.parametrize("sequence", ["ascending", "descending", "shuffled"])
+    def test_matches_prefix_sum_oracle_in_any_request_order(
+        self, sequence, fresh_products
+    ):
+        """Every order 0..60 and 2000, each product from empty coefficient lists."""
+        orders = list(range(61)) + [2000]
+        if sequence == "descending":
+            orders.reverse()
+        elif sequence == "shuffled":
+            random.Random(7).shuffle(orders)
+        for order in orders:
+            assert rr_product_first(order) == _oracle(frozenset({1, 4}), order)
+            assert rr_product_second(order) == _oracle(frozenset({2, 3}), order)
+        assert [len(c) for c in identities._products.values()] == [2001, 2001]
 
     def test_truncation_consistency(self):
         """A deeper product truncates to exactly the shallower one."""
@@ -97,36 +121,26 @@ class TestVerifyGis:
         assert verify_gis(7, 150).passed
 
     def test_order_1000_all_shifts(self):
-        """m = 0..20 at order 1000 takes well under a second with O(N)
-        division; a return to quadratic division makes this test slow."""
-        # Descending m, as the CLI runs it: the deepest products come first
-        # and every later shift is served from the product cache.
+        """m = 0..20 at order 1000 takes well under a second; a return to
+        quadratic product or division arithmetic makes this test slow."""
         for m in range(20, -1, -1):
             assert verify_gis(m, 1000).passed, m
 
-    def test_ascending_shifts_rebuild_each_product_at_most_twice(self, monkeypatch):
-        """Orders 1000 + C(m, 2) rise with m; the cache grows by half each
-        rebuild, so two builds per product cover m = 0..20 in either order."""
-        builds = {1: 0, 2: 0}  # k = 1 and k = 2 open a P1 and a P2 build
-
-        def counting(a, k):
-            if k in builds:
-                builds[k] += 1
-            return divide_one_minus_qk(a, k)
-
-        monkeypatch.setattr(identities, "divide_one_minus_qk", counting)
-
-        def run(shifts):
-            monkeypatch.setattr(identities, "_product_cache", {})
-            return {m: (verify_gis(m, 1000), gis_rhs(m, 1000)) for m in shifts}
-
-        ascending = run(range(21))
-        assert builds[1] <= 2 and builds[2] <= 2, builds
-        assert ascending == run(range(20, -1, -1))
+    def test_ascending_shifts_build_each_coefficient_once(self, fresh_products):
+        """Orders 1000 + C(m, 2) rise with m; each request appends only the
+        coefficients past the held length, and a later pass appends none."""
+        size = 1000 + comb(20, 2) + 1
+        ascending = {m: (verify_gis(m, 1000), gis_rhs(m, 1000)) for m in range(21)}
+        assert [len(c) for c in identities._products.values()] == [size, size]
+        descending = {
+            m: (verify_gis(m, 1000), gis_rhs(m, 1000)) for m in range(20, -1, -1)
+        }
+        assert [len(c) for c in identities._products.values()] == [size, size]
+        assert ascending == descending
         assert all(report.passed for report, _ in ascending.values())
 
     def test_over_budget_shift_refused_before_any_series(
-        self, monkeypatch, fresh_tables
+        self, monkeypatch, fresh_tables, fresh_products
     ):
         """``D_437`` is the first entry over the table budget, so m = 439 is
         the first shift refused; the refusal comes before either product or
@@ -135,13 +149,12 @@ class TestVerifyGis:
         def unreachable(*args):
             raise AssertionError("built a series for a refused shift")
 
-        monkeypatch.setattr(identities, "_product_cache", {})
-        monkeypatch.setattr(identities, "divide_one_minus_qk", unreachable)
+        monkeypatch.setattr(identities, "_rr_product", unreachable)
         monkeypatch.setattr(identities, "schur_x1_series", unreachable)
         for m in (439, 440, 1000):
             with pytest.raises(TooLargeError):
                 verify_gis(m, 10)
-        assert identities._product_cache == {}
+        assert identities._products == {1: [], 2: []}
 
     def test_report_fields(self):
         report = verify_gis(3, 40)

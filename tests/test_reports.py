@@ -8,9 +8,10 @@ from qschur.reports import (
     CheckSuiteResult,
     Mismatch,
     VerificationReport,
+    compare_polys,
     compare_series,
 )
-from qschur.series import ONE, QSeries, monomial, poly_to_series
+from qschur.series import ONE, Q, QSeries, monomial, poly_to_series
 
 
 def passing(label: str = "demo") -> VerificationReport:
@@ -76,3 +77,14 @@ class TestCompareSeries:
         report = compare_series("diff", {"k": 0}, a, b, 4)
         assert not report.passed
         assert report.mismatch == Mismatch(2, 0, 1)
+
+
+class TestComparePolys:
+    def test_equal_polys_pass(self):
+        report = compare_polys("eq", {"n": 1}, ONE + Q, ONE + Q)
+        assert report == VerificationReport(label="eq", params={"n": 1})
+
+    def test_detects_first_difference(self):
+        report = compare_polys("diff", {"n": 1}, ONE + Q, monomial(-1, -2) + ONE)
+        assert report.mismatch == Mismatch(-2, 0, -1)
+        assert report.to_text() == "diff n=1: fail at q^-2: lhs=0 rhs=-1"

@@ -58,8 +58,15 @@ class TestInitialValues:
         assert schur_polynomial(SchurKind.E, 2) == schur_E(2)
 
     def test_index_below_extension_rejected(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="must be >= -2, got -3"):
             schur_polynomial(SchurKind.D, -3)
+
+    def test_bare_table_rejects_index_below_extension(self):
+        table = RecurrenceTable(0, 1)
+        for k in (-3, -4, -100):
+            with pytest.raises(IndexError):
+                table.entry(k)
+        assert table.entry(-1) == ONE
 
 
 class TestRecursion:

@@ -1,4 +1,4 @@
-"""Concurrent requests to the Schur and Schur_n recurrence tables."""
+"""Concurrent requests to the recurrence tables and the Rogers-Ramanujan products."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import threading
 
 from qschur import schur
 from qschur.determinant import schur_finite
+from qschur.identities import rr_product_first, rr_product_second
 from qschur.schur import schur_D, schur_E
 from qschur.series import _unpack
 
@@ -16,20 +17,25 @@ REQUESTS = (
     + [(schur_E, (k,)) for k in range(-2, 90)]
     + [(schur_finite, (n, m)) for n in range(0, 60) for m in range(4)]
 )
+PRODUCT_REQUESTS = [
+    (fn, (order,))
+    for fn in (rr_product_first, rr_product_second)
+    for order in range(0, 600, 3)
+]
 
 
 def _key(fn, args):
     return (fn.__name__, *args)
 
 
-def _run_threads(count: int = 8) -> list[dict]:
+def _run_threads(requests=REQUESTS, count: int = 8) -> list[dict]:
     """Each of ``count`` threads makes every request, in its own shuffled order."""
     results: list[dict] = []
     errors: list[Exception] = []
     start = threading.Barrier(count)
 
     def worker(seed: int) -> None:
-        order = list(REQUESTS)
+        order = list(requests)
         random.Random(seed).shuffle(order)
         got = {}
         try:
@@ -85,3 +91,12 @@ def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypa
         assert got == serial
         for key, value in got.items():
             assert value is results[0][key], key
+
+
+def test_interleaved_product_requests_match_a_serial_run(fresh_products):
+    """Threads extend both coefficient lists while others slice them."""
+    serial = {_key(fn, args): fn(*args) for fn, args in PRODUCT_REQUESTS}
+
+    fresh_products()
+    for got in _run_threads(PRODUCT_REQUESTS):
+        assert got == serial
