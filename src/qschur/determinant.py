@@ -35,14 +35,7 @@ from .series import (
     monomial,
     poly_to_series,
 )
-from .schur import (
-    RecurrenceTable,
-    TooLargeError,
-    lambda_coeff,
-    mu_coeff,
-    schur_D,
-    schur_E,
-)
+from .schur import RecurrenceTable, TooLargeError, _decomposition
 
 __all__ = [
     "TooLargeError",
@@ -74,12 +67,18 @@ def schur_finite(n: int, m: int) -> LaurentPoly:
     """
     if n < 0 or m < 0:
         raise ValueError(f"schur_finite requires n, m >= 0, got ({n}, {m})")
+    return _finite_table(m).entry(n)
+
+
+def _finite_table(m: int) -> RecurrenceTable:
+    """The ``Schur_n`` table for shift ``m``, now the most recently used of at
+    most :data:`FINITE_TABLES_MAX`."""
     with _finite_lock:
         table = _finite_tables.pop(m, None) or RecurrenceTable(0, 1, m)
         _finite_tables[m] = table
         if len(_finite_tables) > FINITE_TABLES_MAX:
             del _finite_tables[next(iter(_finite_tables))]
-    return table.entry(n)
+    return table
 
 
 def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -183,14 +182,17 @@ def schur_x1_series(m: int, order: int) -> QSeries:
 def decompose(n: int, m: int) -> VerificationReport:
     """Check ``Schur_n = lambda(m) D_{n+m} + mu(m) E_{n+m}`` exactly.
 
-    The right side is assembled in Laurent arithmetic; the combination must
-    come out to a genuine polynomial (no negative exponents survive) equal to
-    the recursion-built determinant.
+    The combination must come out to a genuine polynomial (no negative
+    exponents survive) equal to the recursion-built determinant.  It is
+    compared with the table entries packed (``schur._decomposition``); only a
+    mismatch unpacks both sides, for the report.
     """
     if n < 0 or m < 0:
         raise ValueError(f"decompose requires n, m >= 0, got ({n}, {m})")
-    lhs = schur_finite(n, m)
-    rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
+    table = _finite_table(m)
+    rhs = _decomposition(table, n, m)
+    if rhs is None:
+        return VerificationReport("decomposition", {"n": n, "m": m})
     # Equality with lhs (a polynomial with constant term 1) already implies no
     # negative exponent survives; any stray q^(-k) term shows up as a mismatch.
-    return compare_polys("decomposition", {"n": n, "m": m}, lhs, rhs)
+    return compare_polys("decomposition", {"n": n, "m": m}, table.entry(n), rhs)

@@ -78,16 +78,16 @@ class RecurrenceTable:
     same recurrence at ``q = 1``; ``w`` for every entry through a target
     index is therefore known before the build.
 
-    The table keeps the frontier pair ``(X_{top-1}, X_top)``, a checkpoint
-    ``(X_{j-1}, X_j, w)`` at each ``j`` divisible by :data:`CHECKPOINT_SPACING`
-    and the entries read so far.  A first read walks from the checkpoint at
-    or below it, at that checkpoint's width, and a build is the same walk
-    from the frontier, which is repacked when a request needs a wider ``w``
-    (sized for at least 1.5x the current length while that stays in budget).
-    Every width covers the entries up to the next checkpoint.
+    The table keeps the frontier pair ``(X_{top-1}, X_top)`` and a
+    checkpoint ``(X_{j-1}, X_j, w)`` at each ``j`` divisible by
+    :data:`CHECKPOINT_SPACING`, nothing else.  A read walks from the
+    checkpoint at or below it, at that checkpoint's width, and a build is the
+    same walk from the frontier, which is repacked when a request needs a
+    wider ``w`` (sized for at least 1.5x the current length while that stays
+    in budget).  Every width covers the entries up to the next checkpoint.
 
-    Builds and first reads run under one lock; a read of an entry already
-    unpacked takes no lock.
+    Builds and the checkpoint lookup run under one lock; the walk from the
+    checkpoint and the unpack run outside it.
     """
 
     def __init__(self, x_minus2: int, x_minus1: int, shift: int = 0):
@@ -97,29 +97,33 @@ class RecurrenceTable:
         self._top = -1
         self._frontier = self._initial  # (X_{top-1}, X_top), packed at _w
         self._checkpoints: list[tuple[int, int, int]] = []  # i: the pair at j = 8i
-        self._read: dict[int, LaurentPoly] = {}
         self._lock = threading.Lock()
+
+    def packed(self, k: int) -> tuple[int, int]:
+        """``(value, w)``: ``X_k`` packed as the ``w``-byte digits of ``value``,
+        for ``k >= -2``; raises :class:`TooLargeError` over budget."""
+        if k < -2:
+            raise IndexError(f"Schur polynomial index must be >= -2, got {k}")
+        if k < 0:
+            return self._initial[k + 2], 1
+        j = k - k % CHECKPOINT_SPACING
+        with self._lock:
+            if k > self._top:
+                self._extend(k)
+            a, b, w = self._checkpoints[j // CHECKPOINT_SPACING]
+        return self._walk(a, b, j, k, w)[1], w
 
     def entry(self, k: int) -> LaurentPoly:
         """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget."""
-        poly = self._read.get(k)
-        if poly is not None:
-            return poly
-        if k < -2:
-            raise IndexError(f"Schur polynomial index must be >= -2, got {k}")
-        with self._lock:
-            if k in self._read:
-                return self._read[k]
-            if k > self._top:
-                self._extend(k)
-            if k < 0:
-                value, w = self._initial[k + 2], 1
-            else:
-                j = k - k % CHECKPOINT_SPACING
-                a, b, w = self._checkpoints[j // CHECKPOINT_SPACING]
-                value = self._walk(a, b, j, k, w)[1]
-            poly = self._read[k] = LaurentPoly(0, _unpack(value, _digits(value, w), w))
-            return poly
+        return _poly(*self.packed(k))
+
+    def _sum(self, k: int) -> int:
+        """``S_k = X_k(1)``, which bounds every coefficient of ``X_k``: the sum
+        recurrence ``S_k = S_{k-1} + S_{k-2}`` from the initial constants."""
+        s2, s1 = self._initial
+        for _ in range(k + 2):
+            s2, s1 = s1, s1 + s2
+        return s2
 
     def footprint(self, n: int) -> int:
         """``sum(len_k) * w`` over ``k = -2..n``: bytes of the entries packed
@@ -144,10 +148,7 @@ class RecurrenceTable:
 
     def _width_through(self, n: int) -> int:
         """``w`` for every entry up to the checkpoint after ``n``."""
-        s2, s1 = self._initial
-        for _ in range(n - n % CHECKPOINT_SPACING + CHECKPOINT_SPACING):
-            s2, s1 = s1, s1 + s2
-        return _width(s1)
+        return _width(self._sum(n - n % CHECKPOINT_SPACING + CHECKPOINT_SPACING - 1))
 
     def _walk(self, a: int, b: int, j: int, k: int, w: int) -> tuple[int, int]:
         """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, to ``(X_{k-1}, X_k)``."""
@@ -205,15 +206,78 @@ def schur_E(m: int) -> LaurentPoly:
     return schur_polynomial(SchurKind.E, m)
 
 
+def _rewidth(value: int, w: int, to: int) -> int:
+    """A packed entry, nonnegative ``w``-byte digits, repacked at ``to`` bytes
+    per digit by a strided byte copy; narrowing keeps the low ``to`` bytes of
+    each digit, so every digit must fit them."""
+    if w == to:
+        return value
+    n = _digits(value, w)
+    src, out = value.to_bytes(n * w, "little"), bytearray(n * to)
+    for i in range(min(w, to)):
+        out[i::to] = src[i::w]
+    return int.from_bytes(out, "little")
+
+
+def _packed_cross(
+    *reads: tuple[RecurrenceTable, int], bound: int = 0
+) -> tuple[int, int]:
+    """``A B - C D`` from four table entries ``(table, k)``, packed: ``(value, w)``.
+
+    No coefficient of an entry is negative, so every coefficient of ``A B``
+    lies in ``0..S(A) S(B)``, and of the difference within
+    ``max(S(A) S(B), S(C) S(D), bound)`` in magnitude; ``w`` holds that with a
+    sign bit.  Each operand is repacked at ``w``, narrower or wider than its
+    table's digits (a product with a zero factor is skipped, as the other
+    factor's digits may not fit), and the products are two big-int
+    multiplies: Kronecker substitution at the width the product needs, not
+    the width of the deepest entry its table holds.
+    """
+    (a, sa), (b, sb), (c, sc), (d, sd) = [(t.packed(k), t._sum(k)) for t, k in reads]
+    w = _width(max(sa * sb, sc * sd, bound))
+    ab = _rewidth(*a, w) * _rewidth(*b, w) if sa * sb else 0
+    cd = _rewidth(*c, w) * _rewidth(*d, w) if sc * sd else 0
+    return ab - cd, w
+
+
+def _poly(value: int, w: int, min_exp: int = 0) -> LaurentPoly:
+    """The polynomial whose balanced ``w``-byte digits ``value`` holds; one
+    digit more than the magnitude's, since a top digit may borrow."""
+    return LaurentPoly(min_exp, _unpack(value, _digits(abs(value), w) + 1, w))
+
+
 def wronskian(m: int) -> LaurentPoly:
-    """``D_{m-1} E_m - D_m E_{m-1}``, computed from the polynomials.
+    """``D_{m-1} E_m - D_m E_{m-1}``, computed from the packed table entries.
 
     Never uses the closed form ``(-1)^m q^(binomial(m+1, 2))``; verifying that
     the two agree is left to the test suite.
     """
     if m < 0:
         raise IndexError(f"wronskian requires m >= 0, got {m}")
-    return schur_D(m - 1) * schur_E(m) - schur_D(m) * schur_E(m - 1)
+    d, e = _TABLES[SchurKind.D], _TABLES[SchurKind.E]
+    return _poly(*_packed_cross((d, m - 1), (e, m), (d, m), (e, m - 1)))
+
+
+def _decomposition(schur_n: RecurrenceTable, n: int, m: int) -> LaurentPoly | None:
+    """``lambda(m) D_{n+m} + mu(m) E_{n+m}``, or ``None`` when it equals
+    entry ``n`` of the ``Schur_n`` table ``schur_n`` for shift ``m``.
+
+    By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
+    ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, which is computed packed and
+    compared with ``(-1)^m Schur_n`` packed at the same width and shifted up
+    ``binomial(m, 2)`` digits.  Every coefficient on either side, ``Schur_n``'s
+    included, is below the sign bit, so equal integers mean equal
+    polynomials; only on a mismatch is the sum unpacked.
+    """
+    lhs, lw = schur_n.packed(n)
+    d, e = _TABLES[SchurKind.D], _TABLES[SchurKind.E]
+    shift, sign = comb(m, 2), -1 if m % 2 else 1
+    value, w = _packed_cross(
+        (e, m - 2), (d, n + m), (d, m - 2), (e, n + m), bound=schur_n._sum(n)
+    )
+    if value == (sign * _rewidth(lhs, lw, w)) << (8 * w * shift):
+        return None
+    return _poly(sign * value, w, -shift)
 
 
 def lambda_coeff(m: int) -> LaurentPoly:

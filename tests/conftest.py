@@ -35,3 +35,18 @@ def fresh_products(monkeypatch):
 
     reset()
     return reset
+
+
+@pytest.fixture
+def repacks(monkeypatch):
+    """``(w, to)`` of every repack of a product operand (``schur._rewidth``)
+    made during one test, in order."""
+    calls = []
+    rewidth = schur._rewidth
+
+    def spy(value, w, to):
+        calls.append((w, to))
+        return rewidth(value, w, to)
+
+    monkeypatch.setattr(schur, "_rewidth", spy)
+    return calls

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from qschur import determinant
@@ -15,8 +17,8 @@ from qschur.determinant import (
     schur_finite_direct,
     schur_x1_series,
 )
-from qschur.reports import compare_series
-from qschur.schur import schur_D
+from qschur.reports import compare_polys, compare_series
+from qschur.schur import RecurrenceTable, lambda_coeff, mu_coeff, schur_D, schur_E
 from qschur.series import (
     ONE,
     LaurentPoly,
@@ -193,3 +195,32 @@ class TestDecompose:
         assert report.label == "decomposition"
         assert report.params == {"n": 3, "m": 2}
         assert report.status == "pass"
+
+    @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
+    def test_grid_at_either_table_width(self, built, fresh_tables, repacks):
+        """Shifts 0, 1 and 2 read the zero or constant entries ``D_{-2}``,
+        ``E_{-1}`` and ``E_{-2}``.  Built to 300 first, ``D`` and ``E`` entries
+        are narrowed to the product's width; read fresh, first widened (the
+        ``Schur_n`` tables are fresh in both runs)."""
+        if built:
+            schur_D(built)
+            schur_E(built)
+        for m in (0, 1, 2, 3, 4, 7, 12, 20, 40):
+            for n in (0, 1, 2, 5, 33, 90):
+                assert decompose(n, m).passed, (n, m)
+        assert any(to < w if built else to > w for w, to in repacks)
+
+    @pytest.mark.parametrize(
+        "n, m", [(1, 0), (4, 1), (2, 2), (9, 2), (30, 5), (140, 40)]
+    )
+    def test_wrong_shift_reports_the_laurent_mismatch(self, n, m, fresh_tables):
+        """A ``Schur_n`` table built for shift ``m + 1`` fails with the report
+        ``compare_polys`` gives on ``lambda D + mu E`` in Laurent arithmetic."""
+        wrong = determinant._finite_tables[m] = RecurrenceTable(0, 1, m + 1)
+        rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
+        expected = compare_polys("decomposition", {"n": n, "m": m}, wrong.entry(n), rhs)
+        report = decompose(n, m)
+        assert not report.passed
+        assert report == expected
+        assert report.to_text() == expected.to_text()
+        assert json.dumps(report.to_json_obj()) == json.dumps(expected.to_json_obj())

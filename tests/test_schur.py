@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from functools import lru_cache
 from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qschur
 from qschur import determinant, schur
-from qschur.determinant import schur_finite
+from qschur.determinant import decompose, schur_finite
 from qschur.cli import main
 from qschur.schur import (
     CHECKPOINT_SPACING,
@@ -25,7 +28,7 @@ from qschur.schur import (
     schur_polynomial,
     wronskian,
 )
-from qschur.series import ONE, LaurentPoly, Q, _unpack, monomial
+from qschur.series import ONE, LaurentPoly, Q, _pack, _unpack, monomial
 
 from .oracles import recurrence_entries
 
@@ -249,7 +252,7 @@ class TestRecurrenceTable:
     def test_coefficient_sums_are_fibonacci(self, fresh_tables):
         """At ``q = 1`` the recurrence is Fibonacci's: ``D_k(1) = F_{k+2}``,
         ``E_k(1) = F_{k+1}`` (with ``F_{-1} = 1``), and ``Schur_n(1) = F_{n+2}``
-        for every shift."""
+        for every shift; ``RecurrenceTable._sum`` gives the same sums unbuilt."""
         fib = [1, 0, 1]  # F_{-1}, F_0, F_1
         while len(fib) < 100:
             fib.append(fib[-1] + fib[-2])
@@ -257,28 +260,39 @@ class TestRecurrenceTable:
         assert [sum(schur_E(k).coeffs) for k in range(-2, 90)] == fib[0:92]
         for m in range(9):
             assert [sum(schur_finite(n, m).coeffs) for n in range(90)] == fib[3:93]
+        d, e, s = RecurrenceTable(0, 1), RecurrenceTable(1, 0), RecurrenceTable(0, 1, 7)
+        assert [d._sum(k) for k in range(-2, 90)] == fib[1:93]
+        assert [e._sum(k) for k in range(-2, 90)] == fib[0:92]
+        assert [s._sum(n) for n in range(90)] == fib[3:93]
+        assert d._top == e._top == s._top == -1
 
-    def test_entries_unpack_on_first_read_only(self, fresh_tables, monkeypatch):
-        """Building to ``D_150`` unpacks ``D_150`` alone; a first read below the
-        top unpacks that one entry, and a repeated read returns the same
-        object without unpacking anything."""
+    def test_entries_unpack_only_when_read(self, fresh_tables, monkeypatch):
+        """Building to ``D_150`` leaves every entry packed; each read, at the
+        top or below it, unpacks that one entry once and returns an equal
+        value, and the table keeps nothing but the frontier pair and the
+        checkpoints, all packed integers."""
         unpacked = []
 
         def counting_unpack(value, length, w):
             unpacked.append(length)
             return _unpack(value, length, w)
 
-        top = schur_D(150)
         table = schur._TABLES[SchurKind.D]
-        assert list(table._read) == [150]
+        table.packed(150)
         monkeypatch.setattr(schur, "_unpack", counting_unpack)
-        assert schur_D(150) is top
-        assert unpacked == []
+        top = schur_D(150)
+        assert len(unpacked) == 1
+        assert schur_D(150) == top and len(unpacked) == 2
         low = schur_D(20)
-        assert len(unpacked) == 1
-        assert schur_D(20) is low
-        assert len(unpacked) == 1
-        assert sorted(table._read) == [20, 150]
+        assert low == _oracle("D", 150)[20] and top == _oracle("D", 150)[150]
+        assert len(unpacked) == 3
+        assert schur_D(20) == low and len(unpacked) == 4
+        assert set(vars(table)) == {
+            "_initial", "_shift", "_w", "_top", "_frontier", "_checkpoints", "_lock"
+        }
+        assert len(table._checkpoints) == 150 // CHECKPOINT_SPACING + 1
+        held = [*table._frontier, *(x for pair in table._checkpoints for x in pair)]
+        assert all(type(x) is int for x in held)
 
     @pytest.mark.parametrize("kind", ["D", "E", "S3"])
     def test_built_table_holds_checkpoints_and_frontier_only(self, kind, fresh_tables):
@@ -304,6 +318,124 @@ class TestRecurrenceTable:
             _read(kind, k)
         assert len(table._checkpoints) == 220 // 8 + 1
         assert len(table._frontier) == 2
+
+
+@lru_cache(maxsize=1)
+def _laurent_wronskians(top: int) -> tuple[LaurentPoly, ...]:
+    """``D_{m-1} E_m - D_m E_{m-1}`` for ``m = 0..top`` in LaurentPoly arithmetic."""
+    return tuple(
+        schur_D(m - 1) * schur_E(m) - schur_D(m) * schur_E(m - 1)
+        for m in range(top + 1)
+    )
+
+
+class TestPackedProducts:
+    """``wronskian`` and ``decompose`` multiply table entries in packed form."""
+
+    @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
+    def test_wronskian_matches_laurent_arithmetic(self, built, fresh_tables, repacks):
+        """Built to 300 first, the tables' digits are wider than any product
+        below ``m = 120`` needs, and every repack narrows; read fresh in
+        ascending order, they are narrower, and every repack widens."""
+        expected = _laurent_wronskians(120)
+        fresh_tables()
+        if built:
+            schur_D(built)
+            schur_E(built)
+        for m in range(121):
+            assert wronskian(m) == expected[m], m
+        assert {to < w for w, to in repacks if to != w} == {bool(built)}
+
+    @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
+    def test_cross_of_any_entries_matches_laurent_arithmetic(self, built):
+        """``A B - C D`` over random entries of ``D``, ``E`` and a shifted
+        table, whose coefficients, unlike a Wronskian's, are as large as the
+        products': the width must hold them, not just the operands."""
+
+        plain, packed = (
+            [RecurrenceTable(0, 1), RecurrenceTable(1, 0), RecurrenceTable(0, 1, 5)]
+            for _ in range(2)
+        )
+        for table in packed if built else ():
+            table.packed(built)
+        rng = random.Random(built)
+        for _ in range(60):
+            reads = [(rng.randrange(3), rng.randint(-2, 120)) for _ in range(4)]
+            a, b, c, d = (plain[t].entry(k) for t, k in reads)
+            value, w = schur._packed_cross(*((packed[t], k) for t, k in reads))
+            assert schur._poly(value, w) == a * b - c * d, reads
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 8), st.integers(-5, 5), st.data())
+    def test_signed_unpack_round_trip(self, w, low, data):
+        """Balanced digits of either sign, a negative one below a positive top
+        included, read back from the packed value alone."""
+        half = 1 << (8 * w - 1)
+        coeffs = data.draw(st.lists(st.integers(1 - half, half - 1), max_size=30))
+        poly = schur._poly(_pack(coeffs, w, half), w, low)
+        assert poly == LaurentPoly(low, coeffs)
+
+    def test_no_laurent_product_on_a_pass(self, fresh_tables, monkeypatch):
+        """Nothing is multiplied as a ``LaurentPoly``: ``wronskian`` unpacks
+        its result alone, and a passing ``decompose`` unpacks nothing."""
+        unpacked = []
+
+        def refuse(self, other):
+            raise AssertionError("LaurentPoly product")
+
+        def counting_unpack(value, length, w):
+            unpacked.append(length)
+            return _unpack(value, length, w)
+
+        cases = [(0, 0), (9, 1), (20, 2), (140, 40)]
+        schur_D(180)  # builds first: a repack of the frontier unpacks it
+        schur_E(180)
+        for n, m in cases:
+            schur_finite(n, m)
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+        monkeypatch.setattr(schur, "_unpack", counting_unpack)
+        assert wronskian(70) == LaurentPoly(comb(71, 2), (1,))
+        assert len(unpacked) == 1
+        for n, m in cases:
+            assert decompose(n, m).passed
+        assert len(unpacked) == 1
+
+    def test_repeated_products_retain_nothing(self, fresh_tables):
+        """After a warm-up like the long-lived library use, 50 products over
+        entries not read before hold on to less than 1 MB."""
+        schur_D(200)
+        schur_E(200)
+        for m in range(40, 71, 2):
+            wronskian(m)
+        for m in (20, 30, 40):
+            for n in range(60, 141, 16):
+                decompose(n, m)
+        calls = [(wronskian, (m,)) for m in range(41, 69, 2)]
+        calls += [(decompose, (n, m)) for m in (20, 30, 40) for n in range(62, 140, 7)]
+        assert len(calls) == 50
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for fn, args in calls:
+                fn(*args)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20, grown
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 24), st.integers(1, 24), st.data())
+    def test_rewidth_round_trip(self, w, to, data):
+        """Nonnegative digits below the sign bit of both widths, packed at ``w``
+        bytes, repack to ``to`` bytes (narrower or wider) and back."""
+        top = (1 << (8 * min(w, to) - 1)) - 1
+        digits = data.draw(st.lists(st.integers(0, top), max_size=40))
+        packed = _pack(digits, w, 1 << (8 * w - 1))
+        there = schur._rewidth(packed, w, to)
+        assert there == _pack(digits, to, 1 << (8 * to - 1))
+        assert _unpack(there, len(digits), to) == digits
+        assert schur._rewidth(there, to, w) == packed
 
 
 class TestTableBudget:
@@ -344,7 +476,7 @@ class TestTableBudget:
         with pytest.raises(TooLargeError):
             schur_finite(2000, 3)
         for table in (schur._TABLES[SchurKind.D], determinant._finite_tables[3]):
-            assert table._top == -1 and not table._checkpoints and not table._read
+            assert table._top == -1 and not table._checkpoints
         assert schur_D(5) == _oracle("D", 5)[5]
 
     def test_refusal_set(self, capsys, fresh_tables):
