@@ -20,7 +20,7 @@ import enum
 import threading
 from math import comb
 
-from .series import LaurentPoly, _pack, _unpack, monomial
+from .series import LaurentPoly, _unpack, monomial
 
 __all__ = [
     "TABLE_BUDGET_BYTES",
@@ -169,11 +169,7 @@ class RecurrenceTable:
             target = 3 * (self._top + 3) // 2 - 2
             if target > n and self.footprint(target) <= TABLE_BUDGET_BYTES:
                 w = self._width_through(target)
-            half = 1 << (8 * w - 1)
-            self._frontier = tuple(
-                _pack(_unpack(x, _digits(x, self._w), self._w), w, half)
-                for x in self._frontier
-            )
+            self._frontier = tuple(_rewidth(x, self._w, w) for x in self._frontier)
             self._w = w
         (a, b), j, w = self._frontier, self._top, self._w
         while j < n:

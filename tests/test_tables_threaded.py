@@ -77,7 +77,8 @@ def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypa
     serial = {_key(fn, args): fn(*args) for fn, args in REQUESTS}
 
     fresh_tables()
-    schur_D(89), schur_E(89)  # every table built to its top
+    schur_D(89)  # every table built to its top
+    schur_E(89)
     for m in range(4):
         schur_finite(59, m)
     unpacked = []
