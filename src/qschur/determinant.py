@@ -24,7 +24,6 @@ common value both identity sides converge to.
 
 from __future__ import annotations
 
-import threading
 from operator import add
 
 from .reports import VerificationReport, compare_polys, compare_series
@@ -35,7 +34,7 @@ from .series import (
     monomial,
     poly_to_series,
 )
-from .schur import RecurrenceTable, TooLargeError, _decomposition
+from .schur import TooLargeError, _decomposition, _table
 
 __all__ = [
     "TooLargeError",
@@ -52,33 +51,16 @@ __all__ = [
 #: Largest n accepted by :func:`schur_finite_direct`.
 DIRECT_ORACLE_MAX_N = 14
 
-#: ``Schur_n`` tables kept at once, one per shift; the least recently read goes.
-FINITE_TABLES_MAX = 8
-
-_finite_tables: dict[int, RecurrenceTable] = {}  # in order of last use
-_finite_lock = threading.Lock()
-
 
 def schur_finite(n: int, m: int) -> LaurentPoly:
-    """``Schur_n`` for shift ``m``, via the three-term recursion (an LRU of tables).
+    """``Schur_n`` for shift ``m``, via the three-term recursion.
 
     Running it backward gives ``Schur_{-1} = 1`` and ``Schur_{-2} = 0``, the
-    initial values of ``D``; at ``m = 0`` the two coincide.
+    initial values of ``D``; at ``m = 0`` the two are one table.
     """
     if n < 0 or m < 0:
         raise ValueError(f"schur_finite requires n, m >= 0, got ({n}, {m})")
-    return _finite_table(m).entry(n)
-
-
-def _finite_table(m: int) -> RecurrenceTable:
-    """The ``Schur_n`` table for shift ``m``, now the most recently used of at
-    most :data:`FINITE_TABLES_MAX`."""
-    with _finite_lock:
-        table = _finite_tables.pop(m, None) or RecurrenceTable(0, 1, m)
-        _finite_tables[m] = table
-        if len(_finite_tables) > FINITE_TABLES_MAX:
-            del _finite_tables[next(iter(_finite_tables))]
-    return table
+    return _table(0, 1, m).entry(n)
 
 
 def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -189,10 +171,9 @@ def decompose(n: int, m: int) -> VerificationReport:
     """
     if n < 0 or m < 0:
         raise ValueError(f"decompose requires n, m >= 0, got ({n}, {m})")
-    table = _finite_table(m)
-    rhs = _decomposition(table, n, m)
+    rhs, params = _decomposition(n, m), {"n": n, "m": m}
     if rhs is None:
-        return VerificationReport("decomposition", {"n": n, "m": m})
+        return VerificationReport("decomposition", params)
     # Equality with lhs (a polynomial with constant term 1) already implies no
     # negative exponent survives; any stray q^(-k) term shows up as a mismatch.
-    return compare_polys("decomposition", {"n": n, "m": m}, table.entry(n), rhs)
+    return compare_polys("decomposition", params, schur_finite(n, m), rhs)

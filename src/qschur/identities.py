@@ -10,7 +10,8 @@ Garrett-Ismail-Stanton identity expresses the shifted sum
 
     sum_{n>=0} q^(n^2 + mn) / ((1-q)...(1-q^n))
 
-as the signed combination
+as the combination ``lambda(m) P1 + mu(m) P2`` with the decomposition
+coefficients of :mod:`qschur.schur`, that is
 
     (-1)^m q^(-binomial(m, 2)) (E_{m-2} P1 - D_{m-2} P2),
 
@@ -26,8 +27,8 @@ from math import comb, isqrt
 
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
-from .schur import schur_D, schur_E
-from .series import QSeries, monomial, poly_to_series
+from .schur import lambda_coeff, mu_coeff, schur_D, schur_E
+from .series import QSeries, poly_to_series
 
 __all__ = [
     "rr_product_first",
@@ -86,24 +87,22 @@ def rr_product_second(order: int) -> QSeries:
 
 
 def gis_rhs(m: int, order: int) -> QSeries:
-    """Product side ``(-1)^m q^(-binomial(m,2)) (E_{m-2} P1 - D_{m-2} P2)``.
+    """Product side ``lambda(m) P1 + mu(m) P2``, the limit ``n -> oo`` of
+    ``Schur_n = lambda(m) D_{n+m} + mu(m) E_{n+m}``.
 
-    Multiplying a series by an exact polynomial with no negative exponents
-    loses no order; only the leading ``q^(-binomial(m, 2))`` lowers it, so the
-    two products are computed through ``order + binomial(m, 2)``.
+    A nonzero ``lambda(m)`` or ``mu(m)`` has its lowest term at
+    ``q^(-binomial(m, 2))``, so with both products through
+    ``order + binomial(m, 2)`` each term is exact through ``order``.
 
-    Both Schur polynomials are read before either product is built, so a
-    shift whose table is over budget raises :class:`TooLargeError` at once
-    (``D_{m-2}`` first: its table leaves the budget one index before ``E``'s).
+    ``mu(m)`` is built first: it reads ``D_{m-2}``, whose table leaves the
+    budget one index before ``E``'s, so an over-budget shift raises
+    :class:`TooLargeError` before ``E`` or any series is built.
     """
     if m < 0 or order < 0:
         raise ValueError(f"gis_rhs requires m, order >= 0, got ({m}, {order})")
-    d, e = schur_D(m - 2), schur_E(m - 2)
-    shift = comb(m, 2)
-    first = rr_product_first(order + shift) * e
-    second = rr_product_second(order + shift) * d
-    sign = -1 if m % 2 else 1
-    return ((first - second) * monomial(sign, -shift)).truncated(order)
+    mu = mu_coeff(m)
+    top = order + comb(m, 2)
+    return rr_product_first(top) * lambda_coeff(m) + rr_product_second(top) * mu
 
 
 def verify_gis(m: int, order: int) -> VerificationReport:

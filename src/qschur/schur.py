@@ -20,7 +20,7 @@ import enum
 import threading
 from math import comb
 
-from .series import LaurentPoly, _unpack, monomial
+from .series import LaurentPoly, _digits, _unpack, _width, monomial
 
 __all__ = [
     "TABLE_BUDGET_BYTES",
@@ -57,15 +57,9 @@ TABLE_BUDGET_BYTES = 1 << 28
 #: this, so a first read rebuilds its entry in at most this many steps less one.
 CHECKPOINT_SPACING = 8
 
-
-def _width(total: int) -> int:
-    """Bytes per balanced digit for coefficients in ``0..total``: a sign bit more."""
-    return (total.bit_length() + 8) // 8
-
-
-def _digits(value: int, w: int) -> int:
-    """Digits of a packed entry; its top coefficient is never zero."""
-    return -(-value.bit_length() // (8 * w))
+#: Recurrence tables kept at once, ``D`` and ``E`` included; the least
+#: recently read goes.
+TABLES_MAX = 8
 
 
 class RecurrenceTable:
@@ -83,8 +77,7 @@ class RecurrenceTable:
     :data:`CHECKPOINT_SPACING`, nothing else.  A read walks from the
     checkpoint at or below it, at that checkpoint's width, and a build is the
     same walk from the frontier, which is repacked when a request needs a
-    wider ``w`` (sized for at least 1.5x the current length while that stays
-    in budget).  Every width covers the entries up to the next checkpoint.
+    wider ``w``.  Every width covers the entries up to the next checkpoint.
 
     Builds and the checkpoint lookup run under one lock; the walk from the
     checkpoint and the unpack run outside it.
@@ -166,9 +159,6 @@ class RecurrenceTable:
             )
         w = self._width_through(n)
         if w > self._w:
-            target = 3 * (self._top + 3) // 2 - 2
-            if target > n and self.footprint(target) <= TABLE_BUDGET_BYTES:
-                w = self._width_through(target)
             self._frontier = tuple(_rewidth(x, self._w, w) for x in self._frontier)
             self._w = w
         (a, b), j, w = self._frontier, self._top, self._w
@@ -181,15 +171,32 @@ class RecurrenceTable:
         self._frontier, self._top = (a, b), n
 
 
-_TABLES = {
-    SchurKind.D: RecurrenceTable(0, 1),
-    SchurKind.E: RecurrenceTable(1, 0),
-}
+_tables: dict[tuple[int, int, int], RecurrenceTable] = {}  # in order of last use
+_tables_lock = threading.Lock()
+
+
+def _table(x_minus2: int, x_minus1: int, shift: int = 0) -> RecurrenceTable:
+    """The table with these constants and shift, now the most recently used of
+    at most :data:`TABLES_MAX`.
+
+    ``D`` is ``(0, 1, 0)``, ``E`` is ``(1, 0, 0)`` and ``Schur_n`` for shift
+    ``m`` is ``(0, 1, m)``, so ``Schur_n`` at ``m = 0`` is ``D``'s table.
+    """
+    key = (x_minus2, x_minus1, shift)
+    with _tables_lock:
+        table = _tables.pop(key, None) or RecurrenceTable(*key)
+        _tables[key] = table
+        if len(_tables) > TABLES_MAX:
+            del _tables[next(iter(_tables))]
+    return table
+
+
+_INITIAL = {SchurKind.D: (0, 1), SchurKind.E: (1, 0)}  # X_{-2}, X_{-1}
 
 
 def schur_polynomial(kind: SchurKind, m: int) -> LaurentPoly:
     """The Schur polynomial of the given family at index ``m >= -2``."""
-    return _TABLES[kind].entry(m)
+    return _table(*_INITIAL[kind]).entry(m)
 
 
 def schur_D(m: int) -> LaurentPoly:
@@ -250,13 +257,13 @@ def wronskian(m: int) -> LaurentPoly:
     """
     if m < 0:
         raise IndexError(f"wronskian requires m >= 0, got {m}")
-    d, e = _TABLES[SchurKind.D], _TABLES[SchurKind.E]
+    d, e = _table(0, 1), _table(1, 0)
     return _poly(*_packed_cross((d, m - 1), (e, m), (d, m), (e, m - 1)))
 
 
-def _decomposition(schur_n: RecurrenceTable, n: int, m: int) -> LaurentPoly | None:
+def _decomposition(n: int, m: int) -> LaurentPoly | None:
     """``lambda(m) D_{n+m} + mu(m) E_{n+m}``, or ``None`` when it equals
-    entry ``n`` of the ``Schur_n`` table ``schur_n`` for shift ``m``.
+    ``Schur_n`` for shift ``m``.
 
     By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
     ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, which is computed packed and
@@ -265,8 +272,8 @@ def _decomposition(schur_n: RecurrenceTable, n: int, m: int) -> LaurentPoly | No
     included, is below the sign bit, so equal integers mean equal
     polynomials; only on a mismatch is the sum unpacked.
     """
+    schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
     lhs, lw = schur_n.packed(n)
-    d, e = _TABLES[SchurKind.D], _TABLES[SchurKind.E]
     shift, sign = comb(m, 2), -1 if m % 2 else 1
     value, w = _packed_cross(
         (e, m - 2), (d, n + m), (d, m - 2), (e, n + m), bound=schur_n._sum(n)

@@ -86,20 +86,30 @@ def _kronecker(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     Each operand, cut to ``length``, is evaluated at ``2^(8w)`` as one big
     integer, the two are multiplied once, and the product's digits are read
     back.  A product coefficient is a sum of at most ``min(len(a), len(b))``
-    terms, so it has fewer than ``bits(a) + bits(b) + bit_length(min length)``
-    bits; one more bit for the sign gives ``w``.  Digits are stored biased by
+    terms, each below ``2^(bits(a) + bits(b))`` in magnitude, and
+    :func:`_width` sizes ``w`` for that bound.  Digits are stored biased by
     ``half = 2^(8w-1)`` so every one packs and unpacks as an unsigned
     ``w``-byte field with ``int.to_bytes``/``int.from_bytes``.
     """
     a, b = a[:length], b[:length]
-    bits = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length() + 1
-    w = (bits + 7) // 8
+    w = _width(min(len(a), len(b)) << (_max_bits(a) + _max_bits(b)))
     half = 1 << (8 * w - 1)
     return _unpack(_pack(a, w, half) * _pack(b, w, half), length, w)
 
 
 def _max_bits(coeffs: Sequence[int]) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _width(total: int) -> int:
+    """Bytes per balanced digit for coefficients of magnitude at most ``total``:
+    a sign bit more."""
+    return (total.bit_length() + 8) // 8
+
+
+def _digits(value: int, w: int) -> int:
+    """Digits of a nonnegative packed value whose top digit is not zero."""
+    return -(-value.bit_length() // (8 * w))
 
 
 def _bias(n: int, w: int) -> int:

@@ -4,22 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from qschur import determinant, identities, schur
-from qschur.schur import RecurrenceTable, SchurKind
+from qschur import identities, schur
 
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty D, E and ``Schur_n`` tables for one test; returns a function that
-    empties them again."""
+    """An empty table registry (D, E and every ``Schur_n``) for one test;
+    returns a function that empties it again."""
 
     def reset() -> None:
-        monkeypatch.setattr(
-            schur,
-            "_TABLES",
-            {SchurKind.D: RecurrenceTable(0, 1), SchurKind.E: RecurrenceTable(1, 0)},
-        )
-        monkeypatch.setattr(determinant, "_finite_tables", {})
+        monkeypatch.setattr(schur, "_tables", {})
 
     reset()
     return reset

@@ -7,14 +7,19 @@ test.  :func:`recurrence_entries` runs the three-term recurrence in plain
 :func:`poly_shifted` and :func:`poly_pow` build polynomials from the
 library's addition and multiplication alone.  :func:`prefix_sum_product`
 builds a Rogers-Ramanujan product factor by factor, one division by
-``1 - q^k`` each, with no pentagonal recurrence.
+``1 - q^k`` each, with no pentagonal recurrence.  :func:`casoratian_gis_rhs`
+assembles the product side of the identity from the Casoratian form, with
+no ``lambda`` or ``mu``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
-from qschur.series import ONE, LaurentPoly, QSeries, divide_one_minus_qk
+from qschur.identities import rr_product_first, rr_product_second
+from qschur.schur import schur_D, schur_E
+from qschur.series import ONE, LaurentPoly, QSeries, divide_one_minus_qk, monomial
 
 
 def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
@@ -54,6 +59,16 @@ def prefix_sum_product(residues: set[int], order: int) -> QSeries:
         if k % 5 in residues:
             acc = divide_one_minus_qk(acc, k)
     return acc
+
+
+def casoratian_gis_rhs(m: int, order: int) -> QSeries:
+    """``(-1)^m q^(-C(m, 2)) (E_{m-2} P1 - D_{m-2} P2)`` through ``order``: both
+    products through ``order + C(m, 2)``, their difference shifted down."""
+    shift = comb(m, 2)
+    first = rr_product_first(order + shift) * schur_E(m - 2)
+    second = rr_product_second(order + shift) * schur_D(m - 2)
+    sign = -1 if m % 2 else 1
+    return ((first - second) * monomial(sign, -shift)).truncated(order)
 
 
 @lru_cache(maxsize=None)

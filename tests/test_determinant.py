@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qschur import determinant
+from qschur import schur
 from qschur.determinant import (
     DIRECT_ORACLE_MAX_N,
     TooLargeError,
@@ -58,26 +58,48 @@ class TestSchurFinite:
                     assert a.coefficient(e) == b.coefficient(e)
 
     def test_tables_are_bounded_least_recently_used_first(self, fresh_tables):
-        """Reading ``N + 1`` shifts keeps ``N`` tables; the table dropped is
-        the one read longest ago, and reading its shift again rebuilds equal
-        entries."""
-        cap = determinant.FINITE_TABLES_MAX
+        """Reading ``N + 1`` tables, ``D`` and ``E`` among them, keeps ``N``;
+        the table dropped is the one read longest ago, and reading it again
+        rebuilds equal entries.  Keys are ``(X_{-2}, X_{-1}, shift)``."""
+        cap = schur.TABLES_MAX
         assert cap >= 8
-        first = [schur_finite(n, 0) for n in range(40)]
-        for m in range(1, cap):
+        d, e = (0, 1, 0), (1, 0, 0)
+        first = [schur_finite(n, 0) for n in range(40)]  # shift 0 is D
+        schur_E(5)
+        for m in range(1, cap - 1):
             schur_finite(40, m)
-        schur_finite(3, 0)  # shift 0 is now the most recently read
-        schur_finite(40, cap)
-        assert list(determinant._finite_tables) == [*range(2, cap), 0, cap]
+        schur_D(3)  # D is now the most recently read, E the least
+        schur_finite(40, cap - 1)
+        shifts = [(0, 1, m) for m in range(1, cap - 1)]
+        assert list(schur._tables) == [*shifts, d, (0, 1, cap - 1)]
         schur_finite(40, 1)
-        assert len(determinant._finite_tables) == cap
-        assert 1 in determinant._finite_tables and 2 not in determinant._finite_tables
+        schur_E(5)
+        assert len(schur._tables) == cap
+        assert (0, 1, 1) in schur._tables and (0, 1, 2) not in schur._tables
+        assert e in schur._tables
         for m in range(100, 100 + cap):
             schur_finite(5, m)
-        assert 0 not in determinant._finite_tables
-        again = [schur_finite(n, 0) for n in range(40)]
+        assert d not in schur._tables and e not in schur._tables
+        again = [schur_D(n) for n in range(40)]
         assert again == first
         assert all(a is not b for a, b in zip(again, first))
+
+    def test_shift_zero_is_the_D_table(self, fresh_tables, monkeypatch):
+        """``Schur_n`` at ``m = 0`` and ``D_n`` are entries of one table,
+        built once, whichever is read first; ``decompose`` adds only ``E``."""
+        built = []
+        init = RecurrenceTable.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(RecurrenceTable, "__init__", counting_init)
+        for n in range(60):
+            assert schur_finite(n, 0) == schur_D(n)
+        assert schur._table(0, 1, 0) is schur._table(0, 1)
+        assert decompose(59, 0).passed
+        assert built == [(0, 1, 0), (1, 0, 0)]
 
 
 class TestDirectOracle:
@@ -201,7 +223,7 @@ class TestDecompose:
         """Shifts 0, 1 and 2 read the zero or constant entries ``D_{-2}``,
         ``E_{-1}`` and ``E_{-2}``.  Built to 300 first, ``D`` and ``E`` entries
         are narrowed to the product's width; read fresh, first widened (the
-        ``Schur_n`` tables are fresh in both runs)."""
+        ``Schur_n`` tables for ``m > 0`` are fresh in both runs)."""
         if built:
             schur_D(built)
             schur_E(built)
@@ -211,12 +233,15 @@ class TestDecompose:
         assert any(to < w if built else to > w for w, to in repacks)
 
     @pytest.mark.parametrize(
-        "n, m", [(1, 0), (4, 1), (2, 2), (9, 2), (30, 5), (140, 40)]
+        "n, m", [(1, 1), (4, 1), (2, 2), (9, 2), (30, 5), (140, 40)]
     )
     def test_wrong_shift_reports_the_laurent_mismatch(self, n, m, fresh_tables):
         """A ``Schur_n`` table built for shift ``m + 1`` fails with the report
-        ``compare_polys`` gives on ``lambda D + mu E`` in Laurent arithmetic."""
-        wrong = determinant._finite_tables[m] = RecurrenceTable(0, 1, m + 1)
+        ``compare_polys`` gives on ``lambda D + mu E`` in Laurent arithmetic.
+
+        Not at ``m = 0``: there the ``Schur_n`` table is ``D``'s, so a wrong
+        one would be a wrong ``D`` on both sides."""
+        wrong = schur._tables[(0, 1, m)] = RecurrenceTable(0, 1, m + 1)
         rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
         expected = compare_polys("decomposition", {"n": n, "m": m}, wrong.entry(n), rhs)
         report = decompose(n, m)

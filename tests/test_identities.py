@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from qschur import identities
+from qschur import identities, schur
 from qschur.determinant import schur_x1_series
 from qschur.schur import TooLargeError
 from qschur.identities import (
@@ -20,7 +20,7 @@ from qschur.identities import (
 )
 from qschur.series import QSeries, series_first_mismatch
 
-from .oracles import prefix_sum_product, rr_coefficients
+from .oracles import casoratian_gis_rhs, prefix_sum_product, rr_coefficients
 
 RR1_COEFFS = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
 RR2_COEFFS = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
@@ -93,6 +93,15 @@ class TestRightHandSide:
     def test_m1_is_second_product(self):
         assert series_first_mismatch(gis_rhs(1, 5), rr_product_second(5), 5) is None
 
+    @pytest.mark.parametrize("order", [0, 1, 5, 37, 160, 400])
+    def test_matches_the_casoratian_form(self, order):
+        """``lambda(m) P1 + mu(m) P2`` equals the Casoratian form, window and
+        printed form included, and is known exactly through ``order``."""
+        for m in range(41):
+            got, want = gis_rhs(m, order), casoratian_gis_rhs(m, order)
+            assert got == want and str(got) == str(want), m
+            assert got.order == order, m
+
     def test_m2_assembled_by_hand(self):
         # q^-1 * (E_0 * P1 - D_0 * P2) = q^-1 * (P1 - P2), truncated at 6.
         got = gis_rhs(2, 6)
@@ -143,8 +152,8 @@ class TestVerifyGis:
         self, monkeypatch, fresh_tables, fresh_products
     ):
         """``D_437`` is the first entry over the table budget, so m = 439 is
-        the first shift refused; the refusal comes before either product or
-        the sum side is built."""
+        the first shift refused; the refusal comes before ``E``'s table,
+        either product or the sum side is built."""
 
         def unreachable(*args):
             raise AssertionError("built a series for a refused shift")
@@ -154,6 +163,7 @@ class TestVerifyGis:
         for m in (439, 440, 1000):
             with pytest.raises(TooLargeError):
                 verify_gis(m, 10)
+            assert (1, 0, 0) not in schur._tables, m
         assert identities._products == {1: [], 2: []}
 
     def test_report_fields(self):

@@ -197,9 +197,9 @@ def _read(kind: str, k: int) -> LaurentPoly:
 
 
 def _table(kind: str) -> RecurrenceTable:
-    if kind in ("D", "E"):
-        return schur._TABLES[SchurKind[kind]]
-    return determinant._finite_tables[int(kind[1:])]
+    """The registered table of ``kind``: its key is ``(X_{-2}, X_{-1}, shift)``."""
+    key = {"D": (0, 1, 0), "E": (1, 0, 0)}.get(kind) or (0, 1, int(kind[1:]))
+    return schur._tables[key]
 
 
 KINDS = ["D", "E"] + [f"S{m}" for m in range(9)]
@@ -238,16 +238,17 @@ class TestRecurrenceTable:
         for k in indices:
             assert _read(kind, k) == expected[k], (kind, k)
 
-    def test_ascending_reads_widen_geometrically(self):
-        """A repack sizes the digits for 1.5x the current length, so reading
-        ``D_-2 .. D_220`` one by one passes through 7 widths, not one per
-        byte of the final 20."""
+    def test_ascending_reads_pack_each_checkpoint_at_its_own_width(self):
+        """A repack widens the digits to what the request needs and no more,
+        so reading ``D_-2 .. D_220`` one by one packs every checkpoint at the
+        width of its own segment, and the frontier at the top's."""
         table = RecurrenceTable(0, 1)
-        widths = set()
         for k in range(-2, 221):
             table.entry(k)
-            widths.add(table._w)
-        assert len(widths) <= 8
+        assert len(table._checkpoints) == 220 // CHECKPOINT_SPACING + 1
+        for i, (_a, _b, w) in enumerate(table._checkpoints):
+            assert w == table._width_through(i * CHECKPOINT_SPACING), i
+        assert table._w == table._width_through(220)
 
     def test_coefficient_sums_are_fibonacci(self, fresh_tables):
         """At ``q = 1`` the recurrence is Fibonacci's: ``D_k(1) = F_{k+2}``,
@@ -277,7 +278,7 @@ class TestRecurrenceTable:
             unpacked.append(length)
             return _unpack(value, length, w)
 
-        table = schur._TABLES[SchurKind.D]
+        table = schur._table(0, 1)
         table.packed(150)
         monkeypatch.setattr(schur, "_unpack", counting_unpack)
         top = schur_D(150)
@@ -475,7 +476,7 @@ class TestTableBudget:
             schur_D(1000)
         with pytest.raises(TooLargeError):
             schur_finite(2000, 3)
-        for table in (schur._TABLES[SchurKind.D], determinant._finite_tables[3]):
+        for table in (_table("D"), _table("S3")):
             assert table._top == -1 and not table._checkpoints
         assert schur_D(5) == _oracle("D", 5)[5]
 
