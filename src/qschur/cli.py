@@ -79,13 +79,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error("--m-min must not exceed --m-max")
     # Descending m, so a shift refused for size is refused before any work.
     # Reports print ascending.
-    try:
-        reports = {
-            m: verify_gis(m, args.order)
-            for m in range(args.m_max, args.m_min - 1, -1)
-        }
-    except TooLargeError as exc:
-        return _usage_error(str(exc))
+    reports = {
+        m: verify_gis(m, args.order) for m in range(args.m_max, args.m_min - 1, -1)
+    }
     any_failed = False
     for m in range(args.m_min, args.m_max + 1):
         _emit_report(reports[m], args.format)
@@ -96,11 +92,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_schur_poly(args: argparse.Namespace) -> int:
     if args.index < -2:
         return _usage_error("--index must be >= -2")
-    kind = SchurKind[args.kind]
-    try:
-        poly = schur_polynomial(kind, args.index)
-    except TooLargeError as exc:
-        return _usage_error(str(exc))
+    poly = schur_polynomial(SchurKind[args.kind], args.index)
     if args.format == "json":
         print(canonical_json(poly_document(f"{args.kind}_{args.index}", poly)))
     else:
@@ -129,12 +121,9 @@ def cmd_determinant(args: argparse.Namespace) -> int:
     if args.m < 0:
         return _usage_error("--m must be >= 0")
     # The decomposition reads the deepest tables, so it runs before anything
-    # is printed: a request refused for size leaves stdout empty.
-    try:
-        poly = schur_finite(args.n, args.m)
-        decomposition = decompose(args.n, args.m) if args.check else None
-    except TooLargeError as exc:
-        return _usage_error(str(exc))
+    # is printed.
+    poly = schur_finite(args.n, args.m)
+    decomposition = decompose(args.n, args.m) if args.check else None
     label = f"Schur_{args.n}(m={args.m})"
     if args.format == "json":
         print(canonical_json(poly_document(label, poly)))
@@ -222,9 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command and return its exit code.
+
+    Every command computes all its results before it prints any of them, so
+    a request refused for size (:class:`TooLargeError`) leaves stdout empty;
+    it is reported here, once for all commands, as a usage error on stderr
+    with exit 2.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except TooLargeError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -39,8 +39,8 @@ def _nonzero_count(coeffs: Sequence[int]) -> int:
     return len(coeffs) - coeffs.count(0)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
-    """Plain convolution of coefficient lists, keeping the first ``length`` slots.
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The whole product of two non-empty coefficient lists, as a plain convolution.
 
     Two kernels compute the same exact result.  When the sparser operand has
     fewer than :data:`KRONECKER_MIN_TERMS` nonzero coefficients (monomials,
@@ -49,52 +49,44 @@ def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     both operands into big integers and lets CPython's Karatsuba multiply
     them.  Measured, Kronecker overtakes the loop at about 8 nonzero terms
     for coefficients of up to 100 bits, 12 at 128 bits and 16 to 24 at 256
-    bits, whatever the length of the denser operand; 16 also keeps the
-    ``lambda(m)``, ``mu(m)`` factors of ``determinant --check`` (at most 13
-    terms for m <= 8) on the loop.
+    bits, whatever the length of the denser operand.  16 is the crossover at
+    256 bits, and on 8 to 15 terms of narrower coefficients the loop takes
+    at most about twice Kronecker's time.
     """
-    if length == 0 or not a or not b:
-        return [0] * length
     na, nb = _nonzero_count(a), _nonzero_count(b)
     if min(na, nb) >= KRONECKER_MIN_TERMS:
-        return _kronecker(a, b, length)
-    return _schoolbook(b, a, length) if na > nb else _schoolbook(a, b, length)
+        return _kronecker(a, b)
+    return _schoolbook(b, a) if na > nb else _schoolbook(a, b)
 
 
-def _schoolbook(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Convolution by one slice-wise pass over ``b`` per nonzero entry of ``a``.
 
     The inner loop is a list comprehension, the fastest pure-Python form; it
     is also the differential oracle for :func:`_kronecker`.
     """
-    out = [0] * length
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
     for i, ca in enumerate(a):
-        if i >= length:
-            break
-        if not ca:
-            continue
-        chunk = b[: length - i]
-        out[i : i + len(chunk)] = [
-            u + ca * v for u, v in zip(out[i : i + len(chunk)], chunk)
-        ]
+        if ca:
+            out[i : i + n] = [u + ca * v for u, v in zip(out[i : i + n], b)]
     return out
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Convolution by Kronecker substitution with balanced ``w``-byte digits.
 
-    Each operand, cut to ``length``, is evaluated at ``2^(8w)`` as one big
-    integer, the two are multiplied once, and the product's digits are read
-    back.  A product coefficient is a sum of at most ``min(len(a), len(b))``
-    terms, each below ``2^(bits(a) + bits(b))`` in magnitude, and
-    :func:`_width` sizes ``w`` for that bound.  Digits are stored biased by
-    ``half = 2^(8w-1)`` so every one packs and unpacks as an unsigned
-    ``w``-byte field with ``int.to_bytes``/``int.from_bytes``.
+    Each operand is evaluated at ``2^(8w)`` as one big integer, the two are
+    multiplied once, and the product's digits are read back.  A product
+    coefficient is a sum of at most ``min(len(a), len(b))`` terms, each below
+    ``2^(bits(a) + bits(b))`` in magnitude, and :func:`_width` sizes ``w`` for
+    that bound.  Digits are stored biased by ``half = 2^(8w-1)`` so every one
+    packs and unpacks as an unsigned ``w``-byte field with
+    ``int.to_bytes``/``int.from_bytes``.
     """
-    a, b = a[:length], b[:length]
     w = _width(min(len(a), len(b)) << (_max_bits(a) + _max_bits(b)))
     half = 1 << (8 * w - 1)
-    return _unpack(_pack(a, w, half) * _pack(b, w, half), length, w)
+    return _unpack(_pack(a, w, half) * _pack(b, w, half), len(a) + len(b) - 1, w)
 
 
 def _max_bits(coeffs: Sequence[int]) -> int:
@@ -268,8 +260,7 @@ class LaurentPoly(_Record):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly()
-        length = len(self.coeffs) + len(other.coeffs) - 1
-        out = _convolve(self.coeffs, other.coeffs, length)
+        out = _convolve(self.coeffs, other.coeffs)
         return LaurentPoly(self.min_exp + other.min_exp, out)
 
     __rmul__ = __mul__
@@ -347,6 +338,11 @@ class QSeries(_Record):
     Normalization strips leading zeros (raising ``min_exp``), so a nonzero
     series has ``coeffs[0] != 0``; the zero series has ``min_exp == order + 1``
     and an empty tuple.
+
+    Every sum and product is the exact :class:`LaurentPoly` result of the
+    known coefficients, cut at the highest order where it is still exact: the
+    lower order for a sum, ``order + p.min_exp`` for a product with a
+    polynomial ``p``.
     """
 
     __slots__ = ("order", "min_exp", "coeffs")
@@ -395,14 +391,7 @@ class QSeries(_Record):
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        lo = min(self.min_exp, other.min_exp, order + 1)
-        out = [0] * (order - lo + 1)
-        for part in (self, other):
-            start = part.min_exp - lo
-            chunk = part.coeffs[: max(0, len(out) - start)]
-            end = start + len(chunk)
-            out[start:end] = map(add, out[start:end], chunk)
-        return QSeries(order, lo, out)
+        return poly_to_series(_through(self, order) + _through(other, order), order)
 
     def __neg__(self) -> QSeries:
         return QSeries(self.order, self.min_exp, tuple(-c for c in self.coeffs))
@@ -414,23 +403,16 @@ class QSeries(_Record):
 
     def __mul__(self, other: QSeries | LaurentPoly | int) -> QSeries:
         if isinstance(other, int):
-            if other == 0:
-                return QSeries.zero(self.order)
-            return QSeries(
-                self.order, self.min_exp, tuple(c * other for c in self.coeffs)
-            )
+            other = LaurentPoly(0, (other,))
         if isinstance(other, LaurentPoly):
             return self.times_poly(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         # Tightest sound truncation: a term q^(i+j) is exact only when both
         # factor windows cover it, i.e. i <= a.order and j <= b.order.
-        order = min(self.order + other.min_exp, other.order + self.min_exp)
-        lo = self.min_exp + other.min_exp
-        if lo > order:
-            return QSeries.zero(order)
-        out = _convolve(self.coeffs, other.coeffs, order - lo + 1)
-        return QSeries(order, lo, out)
+        return _product(
+            self, other, min(self.order + other.min_exp, other.order + self.min_exp)
+        )
 
     __rmul__ = __mul__
 
@@ -440,14 +422,7 @@ class QSeries(_Record):
         Unlike series-series multiplication, ``p`` is known at every order, so
         the result is exact up to ``order + p.min_exp``.
         """
-        if p.is_zero():
-            return QSeries.zero(self.order + p.min_exp)
-        order = self.order + p.min_exp
-        lo = self.min_exp + p.min_exp
-        if lo > order:
-            return QSeries.zero(order)
-        out = _convolve(self.coeffs, p.coeffs, order - lo + 1)
-        return QSeries(order, lo, out)
+        return _product(self, p, self.order + p.min_exp)
 
     def truncated(self, order: int) -> QSeries:
         """Restrict knowledge to a lower order (never extends)."""
@@ -480,6 +455,19 @@ def poly_to_series(a: LaurentPoly, order: int) -> QSeries:
     window = a.coeffs[: order - a.min_exp + 1]
     pad = (order - a.min_exp + 1) - len(window)
     return QSeries(order, a.min_exp, window + (0,) * pad)
+
+
+def _through(a: LaurentPoly | QSeries, top: int) -> LaurentPoly:
+    """The exact polynomial of ``a``'s known coefficients up to ``q^top``."""
+    return LaurentPoly(a.min_exp, a.coeffs[: max(0, top - a.min_exp + 1)])
+
+
+def _product(a: QSeries, b: LaurentPoly | QSeries, order: int) -> QSeries:
+    """``a * b`` through ``order``: a term of either factor counts only if the
+    other factor's lowest term lifts it no higher than ``order``."""
+    return poly_to_series(
+        _through(a, order - b.min_exp) * _through(b, order - a.min_exp), order
+    )
 
 
 def series_inverse(a: QSeries) -> QSeries:

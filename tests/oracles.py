@@ -9,11 +9,13 @@ library's addition and multiplication alone.  :func:`prefix_sum_product`
 builds a Rogers-Ramanujan product factor by factor, one division by
 ``1 - q^k`` each, with no pentagonal recurrence.  :func:`casoratian_gis_rhs`
 assembles the product side of the identity from the Casoratian form, with
-no ``lambda`` or ``mu``.
+no ``lambda`` or ``mu``.  :func:`series_sum` and :func:`series_product` add
+and multiply truncated series term by term, with no coefficient windows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -69,6 +71,42 @@ def casoratian_gis_rhs(m: int, order: int) -> QSeries:
     second = rr_product_second(order + shift) * schur_D(m - 2)
     sign = -1 if m % 2 else 1
     return ((first - second) * monomial(sign, -shift)).truncated(order)
+
+
+def _terms(x: LaurentPoly | QSeries) -> dict[int, int]:
+    """The known nonzero terms of ``x``, coefficient by exponent."""
+    return {x.min_exp + i: c for i, c in enumerate(x.coeffs) if c}
+
+
+def _series_from_terms(terms: dict[int, int], order: int) -> QSeries:
+    """The series with these exact terms through ``q^order``; its ``min_exp``
+    is the lowest exponent with a nonzero term, or ``order + 1``."""
+    low = min((e for e, c in terms.items() if c and e <= order), default=order + 1)
+    return QSeries(order, low, [terms.get(e, 0) for e in range(low, order + 1)])
+
+
+def series_sum(a: QSeries, b: QSeries) -> QSeries:
+    """``a + b`` term by term, known through the lower of the two orders."""
+    terms: Counter[int] = Counter(_terms(a))
+    terms.update(_terms(b))
+    return _series_from_terms(terms, min(a.order, b.order))
+
+
+def series_product(a: QSeries, b: QSeries | LaurentPoly | int) -> QSeries:
+    """``a * b`` from every pair of terms.  The result is known through
+    ``a.order`` for an integer ``b``, ``a.order + b.min_exp`` for a polynomial
+    and ``min(a.order + b.min_exp, b.order + a.min_exp)`` for a series."""
+    if isinstance(b, int):
+        order, b = a.order, LaurentPoly(0, (b,))
+    elif isinstance(b, LaurentPoly):
+        order = a.order + b.min_exp
+    else:
+        order = min(a.order + b.min_exp, b.order + a.min_exp)
+    terms: Counter[int] = Counter()
+    for i, x in _terms(a).items():
+        for j, y in _terms(b).items():
+            terms[i + j] += x * y
+    return _series_from_terms(terms, order)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur import series
-from qschur.determinant import decompose
+from qschur.determinant import schur_finite, schur_finite_direct
+from qschur.identities import rr_product_first
+from qschur.schur import lambda_coeff, mu_coeff, schur_D
 from qschur.series import (
     KRONECKER_MIN_TERMS,
     ONE,
@@ -17,6 +19,7 @@ from qschur.series import (
     _kronecker,
     _pack,
     _schoolbook,
+    _through,
     _unpack,
     divide_one_minus_qk,
     monomial,
@@ -25,6 +28,8 @@ from qschur.series import (
     series_first_mismatch,
     series_inverse,
 )
+
+from .oracles import series_product, series_sum
 
 # Small polynomials keep shrinking fast while still exercising carries,
 # cancellation, and negative exponents.
@@ -60,6 +65,26 @@ nonnegative_series = st.one_of(
     ),
 )
 strides = st.integers(min_value=1, max_value=15)
+
+
+@st.composite
+def windows(draw, low=-10, high=14):
+    """A series with ``min_exp`` drawn from ``low .. high``, negative ones
+    included; a window of width 0 gives the zero series."""
+    min_exp = draw(st.integers(low, high))
+    order = draw(st.integers(min_exp - 1, min_exp + 10))
+    width = order - min_exp + 1
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=width, max_size=width))
+    return QSeries(order, min_exp, coeffs)
+
+
+@st.composite
+def window_pairs(draw):
+    """Two series of unrelated orders; in half the draws one window lies
+    wholly above the other's order."""
+    a = draw(windows())
+    b = draw(windows(a.order + 1, a.order + 6) if draw(st.booleans()) else windows())
+    return (a, b) if draw(st.booleans()) else (b, a)
 
 
 @st.composite
@@ -239,17 +264,62 @@ class TestDigitCodec:
         assert _unpack(packed, low, w) == coeffs[:low]
 
 
+class TestSeriesArithmetic:
+    """Each operation against the term-by-term oracle; ``QSeries`` equality
+    compares the value, the ``order`` and the ``min_exp``."""
+
+    @settings(max_examples=300)
+    @given(window_pairs(), polys, st.integers(-4, 4))
+    def test_matches_term_by_term_oracle(self, pair, p, k):
+        a, b = pair
+        assert a + b == series_sum(a, b)
+        assert a - b == series_sum(a, series_product(b, -1))
+        assert a * b == series_product(a, b)
+        assert a * p == p * a == series_product(a, p)
+        assert a * k == series_product(a, k)
+
+    def test_operands_cut_to_the_result_window(self, monkeypatch):
+        """A short operand bounds the work: no operand is cut longer than the
+        result's window, and the kernel sees none longer, however long the
+        other operand is or wherever its window lies."""
+        long_series, short_series = rr_product_first(3000), rr_product_first(20)
+        high = long_series * monomial(1, 40)  # wholly above short_series's order
+        deep = schur_D(150)
+        lengths = []
+
+        def spy(a, b):
+            lengths.append(max(len(a), len(b)))
+            return _convolve(a, b)
+
+        def cut_spy(a, top):
+            cut = _through(a, top)
+            lengths.append(len(cut.coeffs))
+            return cut
+
+        monkeypatch.setattr(series, "_convolve", spy)
+        monkeypatch.setattr(series, "_through", cut_spy)
+        for operation in (
+            lambda: long_series * short_series,
+            lambda: poly_to_series(ONE, 10).times_poly(deep),
+            lambda: high + short_series,
+            lambda: QSeries.zero(10) * long_series,
+        ):
+            lengths.clear()
+            result = operation()
+            assert lengths and max(lengths) <= result.order - result.min_exp + 1
+
+
 class TestKroneckerKernel:
     """Kronecker substitution against the schoolbook loop, its oracle."""
 
     @settings(max_examples=200)
-    @given(kernel_operands, kernel_operands, st.data())
-    def test_matches_schoolbook(self, a, b, data):
-        """``length`` from below to above the full product length."""
-        length = data.draw(st.integers(min_value=1, max_value=len(a) + len(b) + 2))
-        expected = _schoolbook(a, b, length)
-        assert _kronecker(a, b, length) == expected
-        assert _convolve(a, b, length) == expected
+    @given(kernel_operands, kernel_operands)
+    def test_matches_schoolbook(self, a, b):
+        """Whole products, of operands of equal and of mixed lengths."""
+        expected = _schoolbook(a, b)
+        assert len(expected) == len(a) + len(b) - 1
+        assert _kronecker(a, b) == expected
+        assert _convolve(a, b) == expected
 
     @pytest.mark.parametrize("bits", [0, 1, 7, 8, 9, 31, 64, 100, 127, 128, 255, 300])
     @pytest.mark.parametrize("size", [1, 2, 3, 15, 16, 127, 128])
@@ -258,28 +328,36 @@ class TestKroneckerKernel:
         for x in ((1 << bits) - 1, 1 - (1 << bits), -(1 << bits)):
             for y in ((1 << bits) - 1, -(1 << bits)):
                 a, b = [x] * size, [y] * (size + 1)
-                length = 2 * size
-                assert _kronecker(a, b, length) == _schoolbook(a, b, length)
+                assert _kronecker(a, b) == _schoolbook(a, b)
 
     def test_dispatch_by_sparser_operand(self, monkeypatch):
         """Kronecker runs only when both operands reach the crossover."""
         calls = []
 
-        def spy(a, b, length):
-            calls.append(length)
-            return _kronecker(a, b, length)
+        def spy(a, b):
+            calls.append(len(a) + len(b) - 1)
+            return _kronecker(a, b)
 
         monkeypatch.setattr(series, "_kronecker", spy)
         dense = list(range(1, 200))
         sparse = [1] + [0] * 50 + [1] * (KRONECKER_MIN_TERMS - 2)
         for a, b in ((sparse, dense), (dense, sparse), (dense, sparse + [1])):
-            length = len(a) + len(b) - 1
-            assert _convolve(a, b, length) == _schoolbook(a, b, length)
+            assert _convolve(a, b) == _schoolbook(a, b)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("m", range(9))
     def test_determinant_check_products_stay_on_schoolbook(self, m, monkeypatch):
-        """``determinant --check`` multiplies lambda(m), mu(m) for small m
-        by deep Schur polynomials; those factors are too sparse to pack."""
+        """The cofactor oracle of ``determinant --check`` (n <= 14) and the
+        factors ``lambda(m)``, ``mu(m)`` multiply small polynomials, which for
+        m <= 8 are too sparse to pack: every product runs on the loop."""
+        calls = []
+
+        def spy(a, b):
+            calls.append(len(a) + len(b) - 1)
+            return _convolve(a, b)
+
         monkeypatch.setattr(series, "_kronecker", None)
-        assert decompose(60, m).passed
+        monkeypatch.setattr(series, "_convolve", spy)
+        assert schur_finite_direct(14, m) == schur_finite(14, m)
+        lambda_coeff(m), mu_coeff(m)
+        assert calls
