@@ -37,7 +37,6 @@ from .series import (
 from .schur import TooLargeError, _decomposition, _table
 
 __all__ = [
-    "TooLargeError",
     "DIRECT_ORACLE_MAX_N",
     "schur_finite",
     "schur_finite_direct",

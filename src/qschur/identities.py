@@ -36,8 +36,6 @@ __all__ = [
     "gis_rhs",
     "verify_gis",
     "verify_schur_limits",
-    "VerificationReport",
-    "CheckSuiteResult",
 ]
 
 

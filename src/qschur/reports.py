@@ -5,6 +5,8 @@ from __future__ import annotations
 from .series import LaurentPoly, QSeries, _Record
 from .series import poly_first_mismatch, series_first_mismatch
 
+__all__ = ["Mismatch", "VerificationReport", "CheckSuiteResult", "compare_series"]
+
 
 class Mismatch(_Record):
     """The first exponent at which two sides of a check disagree."""

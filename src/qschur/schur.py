@@ -23,8 +23,6 @@ from math import comb
 from .series import LaurentPoly, _digits, _unpack, _width, monomial
 
 __all__ = [
-    "TABLE_BUDGET_BYTES",
-    "CHECKPOINT_SPACING",
     "TooLargeError",
     "SchurKind",
     "schur_polynomial",
@@ -209,44 +207,81 @@ def schur_E(m: int) -> LaurentPoly:
     return schur_polynomial(SchurKind.E, m)
 
 
-def _rewidth(value: int, w: int, to: int) -> int:
-    """A packed entry, nonnegative ``w``-byte digits, repacked at ``to`` bytes
-    per digit by a strided byte copy; narrowing keeps the low ``to`` bytes of
-    each digit, so every digit must fit them."""
-    if w == to:
-        return value
+def _restride(value: int, w: int, to: int, step: int = 1) -> list[int]:
+    """A packed entry, nonnegative ``w``-byte digits, cut into ``step`` packed
+    values at ``to`` bytes per digit by a strided byte copy: the ``r``-th holds
+    digits ``r, r + step, r + 2 step, ...``.  Narrowing keeps the low ``to``
+    bytes of each digit, so every digit must fit them."""
     n = _digits(value, w)
-    src, out = value.to_bytes(n * w, "little"), bytearray(n * to)
-    for i in range(min(w, to)):
-        out[i::to] = src[i::w]
-    return int.from_bytes(out, "little")
+    src = value.to_bytes(n * w, "little")
+    parts = []
+    for r in range(step):
+        out = bytearray(len(range(r, n, step)) * to)
+        for i in range(min(w, to)):
+            out[i::to] = src[r * w + i :: step * w]
+        parts.append(int.from_bytes(out, "little"))
+    return parts
+
+
+def _rewidth(value: int, w: int, to: int) -> int:
+    """A packed entry repacked at ``to`` bytes per digit (:func:`_restride`)."""
+    return value if w == to else _restride(value, w, to)[0]
+
+
+def _at_two_points(value: int, w: int, h: int) -> tuple[int, int]:
+    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A`` packed at ``w`` bytes:
+    ``E +- (O << 8h)``, with the even and odd digits at ``2h`` bytes."""
+    even, odd = _restride(value, w, 2 * h, 2)
+    odd <<= 8 * h
+    return even + odd, even - odd
 
 
 def _packed_cross(
     *reads: tuple[RecurrenceTable, int], bound: int = 0
-) -> tuple[int, int]:
-    """``A B - C D`` from four table entries ``(table, k)``, packed: ``(value, w)``.
+) -> tuple[int, int, int]:
+    """``A B - C D`` from four table entries ``(table, k)``, evaluated at
+    ``X = 2^(8h)`` and at ``-X``: ``(plus, minus, h)``.
 
     No coefficient of an entry is negative, so every coefficient of ``A B``
     lies in ``0..S(A) S(B)``, and of the difference within
-    ``max(S(A) S(B), S(C) S(D), bound)`` in magnitude; ``w`` holds that with a
-    sign bit.  Each operand is repacked at ``w``, narrower or wider than its
-    table's digits (a product with a zero factor is skipped, as the other
-    factor's digits may not fit), and the products are two big-int
-    multiplies: Kronecker substitution at the width the product needs, not
-    the width of the deepest entry its table holds.
+    ``max(S(A) S(B), S(C) S(D), bound)`` in magnitude; ``w`` bytes hold that
+    with a sign bit, and ``h = ceil(w / 2)``.  This is Harvey's two-point
+    Kronecker substitution: each operand's even and odd digits are split
+    into ``2h``-byte digits by one strided byte copy, narrower or wider than
+    its table's (a product with a zero factor is skipped, as the other
+    factor's digits may not fit), and four multiplies at half the one-point
+    width give both values.  The even and odd coefficients of the result
+    are the balanced ``2h``-byte digits of ``(plus + minus) / 2`` and
+    ``(plus - minus) / (2X)``, and ``2h >= w`` holds every one of them.
     """
     (a, sa), (b, sb), (c, sc), (d, sd) = [(t.packed(k), t._sum(k)) for t, k in reads]
-    w = _width(max(sa * sb, sc * sd, bound))
-    ab = _rewidth(*a, w) * _rewidth(*b, w) if sa * sb else 0
-    cd = _rewidth(*c, w) * _rewidth(*d, w) if sc * sd else 0
-    return ab - cd, w
+    h = (_width(max(sa * sb, sc * sd, bound)) + 1) // 2
+    plus = minus = 0
+    for (x, sx), (y, sy), sign in (((a, sa), (b, sb), 1), ((c, sc), (d, sd), -1)):
+        if sx * sy:
+            (xp, xm), (yp, ym) = _at_two_points(*x, h), _at_two_points(*y, h)
+            plus, minus = plus + sign * xp * yp, minus + sign * xm * ym
+    return plus, minus, h
 
 
 def _poly(value: int, w: int, min_exp: int = 0) -> LaurentPoly:
     """The polynomial whose balanced ``w``-byte digits ``value`` holds; one
     digit more than the magnitude's, since a top digit may borrow."""
     return LaurentPoly(min_exp, _unpack(value, _digits(abs(value), w) + 1, w))
+
+
+def _poly_at_two_points(plus: int, minus: int, h: int, min_exp: int = 0) -> LaurentPoly:
+    """The polynomial ``P`` with ``plus = P(X)`` and ``minus = P(-X)``, ``X =
+    2^(8h)``, every coefficient inside the balanced ``2h``-byte range: its
+    even and odd halves unpacked from :func:`_packed_cross`'s two values and
+    interleaved."""
+    even, odd = (
+        _unpack(v, _digits(abs(v), 2 * h) + 1, 2 * h)
+        for v in ((plus + minus) >> 1, (plus - minus) >> (8 * h + 1))
+    )
+    coeffs = [0] * (2 * max(len(even), len(odd)))
+    coeffs[: 2 * len(even) : 2], coeffs[1 : 2 * len(odd) : 2] = even, odd
+    return LaurentPoly(min_exp, coeffs)
 
 
 def wronskian(m: int) -> LaurentPoly:
@@ -258,7 +293,7 @@ def wronskian(m: int) -> LaurentPoly:
     if m < 0:
         raise IndexError(f"wronskian requires m >= 0, got {m}")
     d, e = _table(0, 1), _table(1, 0)
-    return _poly(*_packed_cross((d, m - 1), (e, m), (d, m), (e, m - 1)))
+    return _poly_at_two_points(*_packed_cross((d, m - 1), (e, m), (d, m), (e, m - 1)))
 
 
 def _decomposition(n: int, m: int) -> LaurentPoly | None:
@@ -266,21 +301,24 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
     ``Schur_n`` for shift ``m``.
 
     By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
-    ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, which is computed packed and
-    compared with ``(-1)^m Schur_n`` packed at the same width and shifted up
-    ``binomial(m, 2)`` digits.  Every coefficient on either side, ``Schur_n``'s
-    included, is below the sign bit, so equal integers mean equal
-    polynomials; only on a mismatch is the sum unpacked.
+    ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``.  That difference is evaluated at
+    ``X`` and ``-X`` by :func:`_packed_cross`, and compared with
+    ``(-1)^m q^binomial(m, 2) Schur_n`` at the same two points.  Every
+    coefficient on either side, ``Schur_n``'s included, lies inside the
+    balanced ``2h``-byte range, so equal values at both points mean equal
+    even and equal odd digit strings, that is, equal polynomials.  Only on a
+    mismatch is the sum unpacked.
     """
     schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
-    lhs, lw = schur_n.packed(n)
     shift, sign = comb(m, 2), -1 if m % 2 else 1
-    value, w = _packed_cross(
+    plus, minus, h = _packed_cross(
         (e, m - 2), (d, n + m), (d, m - 2), (e, n + m), bound=schur_n._sum(n)
     )
-    if value == (sign * _rewidth(lhs, lw, w)) << (8 * w * shift):
+    lhs_plus, lhs_minus = _at_two_points(*schur_n.packed(n), h)
+    up = 8 * h * shift
+    if plus == sign * lhs_plus << up and minus == sign * (-1) ** shift * lhs_minus << up:
         return None
-    return _poly(sign * value, w, -shift)
+    return _poly_at_two_points(sign * plus, sign * minus, h, -shift)
 
 
 def lambda_coeff(m: int) -> LaurentPoly:

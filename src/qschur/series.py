@@ -20,6 +20,20 @@ from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import add, sub
 
+__all__ = [
+    "ONE",
+    "Q",
+    "LaurentPoly",
+    "NotInvertibleError",
+    "OrderTooHighError",
+    "QSeries",
+    "monomial",
+    "poly_first_mismatch",
+    "poly_to_series",
+    "series_first_mismatch",
+    "series_inverse",
+]
+
 
 class NotInvertibleError(ArithmeticError):
     """Series inversion requires the lowest known coefficient to be +1 or -1."""

@@ -32,15 +32,17 @@ def fresh_products(monkeypatch):
 
 
 @pytest.fixture
-def repacks(monkeypatch):
-    """``(w, to)`` of every repack of a product operand (``schur._rewidth``)
-    made during one test, in order."""
+def splits(monkeypatch):
+    """``(w, to)`` of every even/odd split of a product operand, its ``w``-byte
+    digits copied to ``to`` bytes (``schur._restride`` at step 2), made
+    during one test, in order."""
     calls = []
-    rewidth = schur._rewidth
+    restride = schur._restride
 
-    def spy(value, w, to):
-        calls.append((w, to))
-        return rewidth(value, w, to)
+    def spy(value, w, to, step=1):
+        if step == 2:
+            calls.append((w, to))
+        return restride(value, w, to, step)
 
-    monkeypatch.setattr(schur, "_rewidth", spy)
+    monkeypatch.setattr(schur, "_restride", spy)
     return calls

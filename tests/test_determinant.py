@@ -219,18 +219,19 @@ class TestDecompose:
         assert report.status == "pass"
 
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
-    def test_grid_at_either_table_width(self, built, fresh_tables, repacks):
+    def test_grid_at_either_table_width(self, built, fresh_tables, splits):
         """Shifts 0, 1 and 2 read the zero or constant entries ``D_{-2}``,
         ``E_{-1}`` and ``E_{-2}``.  Built to 300 first, ``D`` and ``E`` entries
-        are narrowed to the product's width; read fresh, first widened (the
-        ``Schur_n`` tables for ``m > 0`` are fresh in both runs)."""
+        are narrowed as they are split into the product's half-width digits;
+        read fresh, first widened (the ``Schur_n`` tables for ``m > 0`` are
+        fresh in both runs)."""
         if built:
             schur_D(built)
             schur_E(built)
         for m in (0, 1, 2, 3, 4, 7, 12, 20, 40):
             for n in (0, 1, 2, 5, 33, 90):
                 assert decompose(n, m).passed, (n, m)
-        assert any(to < w if built else to > w for w, to in repacks)
+        assert any(to < w if built else to > w for w, to in splits)
 
     @pytest.mark.parametrize(
         "n, m", [(1, 1), (4, 1), (2, 2), (9, 2), (30, 5), (140, 40)]

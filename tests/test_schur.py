@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from functools import lru_cache
 from math import ceil, comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -330,23 +331,43 @@ def _laurent_wronskians(top: int) -> tuple[LaurentPoly, ...]:
     )
 
 
+def _evaluate(coeffs: list[int], bits: int) -> int:
+    """``sum(c_i 2^(bits i))`` by halves, any size and sign of ``c_i``."""
+    if len(coeffs) <= 16:
+        return sum(c << (bits * i) for i, c in enumerate(coeffs))
+    mid = len(coeffs) // 2
+    return _evaluate(coeffs[:mid], bits) + (_evaluate(coeffs[mid:], bits) << bits * mid)
+
+
+def _two_point_values(p: LaurentPoly, h: int) -> tuple[int, int]:
+    """``(P(X), P(-X))`` for ``X = 2^(8h)`` and a polynomial ``P``, from its
+    coefficients directly."""
+    assert p.min_exp >= 0
+    signs = [(-1) ** (p.min_exp + i) for i in range(len(p.coeffs))]
+    return tuple(
+        _evaluate(list(coeffs), 8 * h) << (8 * h * p.min_exp)
+        for coeffs in (p.coeffs, map(mul, p.coeffs, signs))
+    )
+
+
 class TestPackedProducts:
     """``wronskian`` and ``decompose`` multiply table entries in packed form."""
 
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
-    def test_wronskian_matches_laurent_arithmetic(self, built, fresh_tables, repacks):
-        """Built to 300 first, the tables' digits are wider than any product
-        below ``m = 120`` needs, and every repack narrows; read fresh in
-        ascending order, they are narrower, and every repack widens."""
+    def test_wronskian_matches_laurent_arithmetic(self, built, fresh_tables, splits):
+        """Built to 300 first, the tables' digits are wider than the half-width
+        digits of any product below ``m = 120``, and every split narrows; read
+        fresh in ascending order, they are narrower, and every split widens."""
         expected = _laurent_wronskians(120)
         fresh_tables()
         if built:
             schur_D(built)
             schur_E(built)
-            repacks.clear()  # the builds' own frontier repacks widen
         for m in range(121):
             assert wronskian(m) == expected[m], m
-        assert {to < w for w, to in repacks if to != w} == {bool(built)}
+            if m == 0:
+                splits.clear()  # the constant D_{-1} is kept at one byte
+        assert {to < w for w, to in splits if to != w} == {bool(built)}
 
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
     def test_cross_of_any_entries_matches_laurent_arithmetic(self, built):
@@ -363,8 +384,64 @@ class TestPackedProducts:
         for _ in range(60):
             reads = [(rng.randrange(3), rng.randint(-2, 120)) for _ in range(4)]
             a, b, c, d = (plain[t].entry(k) for t, k in reads)
-            value, w = schur._packed_cross(*((packed[t], k) for t, k in reads))
-            assert schur._poly(value, w) == a * b - c * d, reads
+            plus, minus, h = schur._packed_cross(*((packed[t], k) for t, k in reads))
+            assert _two_point_values(a * b - c * d, h) == (plus, minus), reads
+            assert schur._poly_at_two_points(plus, minus, h) == a * b - c * d, reads
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even-count", "odd-count"])
+    @pytest.mark.parametrize("wider", [False, True], ids=["narrowing", "widening"])
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_even_odd_split_round_trip(self, parity, wider, data):
+        """Nonnegative digits packed at ``w`` bytes split into their even- and
+        odd-indexed digits at ``to`` bytes, narrower or wider, and interleave
+        back; the empty list (zero) and a single digit included."""
+        w = data.draw(st.integers(1, 23))
+        to = data.draw(st.integers(w + 1, 24) if wider else st.integers(1, w))
+        top = (1 << (8 * min(w, to) - 1)) - 1
+        pairs = data.draw(st.integers(0, 20))
+        digits = data.draw(
+            st.lists(st.integers(0, top), min_size=2 * pairs + parity, max_size=2 * pairs + parity)
+        )
+        even, odd = schur._restride(_pack(digits, w, 1 << (8 * w - 1)), w, to, 2)
+        assert even == _pack(digits[0::2], to, 1 << (8 * to - 1))
+        assert odd == _pack(digits[1::2], to, 1 << (8 * to - 1))
+        back = [0] * len(digits)
+        back[0::2] = _unpack(even, len(digits[0::2]), to)
+        back[1::2] = _unpack(odd, len(digits[1::2]), to)
+        assert back == digits
+
+    def test_split_of_zero_and_a_single_digit(self):
+        assert schur._restride(0, 3, 4, 2) == [0, 0]
+        assert schur._restride(0x7F, 1, 2, 2) == [0x7F, 0]
+        assert schur._at_two_points(0x7F, 1, 1) == (0x7F, 0x7F)
+
+    def test_cross_against_laurent_arithmetic(self, fresh_tables):
+        """``_packed_cross`` against ``A B - C D`` in ``LaurentPoly``
+        arithmetic, at both points and read back, over reads where ``2h`` is
+        the product width ``w`` and where it is ``w + 1``, every Wronskian
+        (whose even or odd half is all zero), and zero factors ``D_{-2}`` and
+        ``E_{-1}``."""
+        d, e, s = (schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, 5))
+        reads = [[(d, m - 1), (e, m), (d, m), (e, m - 1)] for m in range(0, 90)]
+        reads += [[(e, m - 2), (d, n + m), (d, m - 2), (e, n + m)]
+                  for m in (0, 1, 2, 3, 9) for n in (0, 7, 40, 77)]
+        reads += [[(s, k), (d, k + 3), (e, 2 * k + 2), (s, k // 2)] for k in range(-2, 60, 3)]
+        reads += [[(d, -2), (e, 30), (e, -1), (d, 30)], [(e, -2), (d, -1), (e, -1), (d, -2)]]
+        widths, zero_halves = set(), set()
+        for four in reads:
+            a, b, c, dd = (t.entry(k) for t, k in four)
+            expected = a * b - c * dd
+            plus, minus, h = schur._packed_cross(*four)
+            sums = [t._sum(k) for t, k in four]
+            w = schur._width(max(sums[0] * sums[1], sums[2] * sums[3]))
+            widths.add(2 * h - w)
+            assert _two_point_values(expected, h) == (plus, minus), four
+            assert schur._poly_at_two_points(plus, minus, h) == expected, four
+            if not expected.is_zero():
+                zero_halves.add((plus + minus == 0, plus - minus == 0))
+        assert widths == {0, 1}
+        assert zero_halves == {(True, False), (False, True), (False, False)}
 
     @settings(max_examples=300)
     @given(st.integers(1, 8), st.integers(-5, 5), st.data())
@@ -378,7 +455,8 @@ class TestPackedProducts:
 
     def test_no_laurent_product_on_a_pass(self, fresh_tables, monkeypatch):
         """Nothing is multiplied as a ``LaurentPoly``: ``wronskian`` unpacks
-        its result alone, and a passing ``decompose`` unpacks nothing."""
+        the even and the odd half of its result, once each, and a passing
+        ``decompose`` unpacks nothing."""
         unpacked = []
 
         def refuse(self, other):
@@ -397,10 +475,10 @@ class TestPackedProducts:
         monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
         monkeypatch.setattr(schur, "_unpack", counting_unpack)
         assert wronskian(70) == LaurentPoly(comb(71, 2), (1,))
-        assert len(unpacked) == 1
+        assert len(unpacked) == 2
         for n, m in cases:
             assert decompose(n, m).passed
-        assert len(unpacked) == 1
+        assert len(unpacked) == 2
 
     def test_repeated_products_retain_nothing(self, fresh_tables):
         """After a warm-up like the long-lived library use, 50 products over
