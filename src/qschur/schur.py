@@ -254,11 +254,12 @@ def _packed_cross(
     are the balanced ``2h``-byte digits of ``(plus + minus) / 2`` and
     ``(plus - minus) / (2X)``, and ``2h >= w`` holds every one of them.
     """
-    (a, sa), (b, sb), (c, sc), (d, sd) = [(t.packed(k), t._sum(k)) for t, k in reads]
+    a, b, c, d = [t.packed(k) for t, k in reads]
+    sa, sb, sc, sd = [t._sum(k) for t, k in reads]
     h = (_width(max(sa * sb, sc * sd, bound)) + 1) // 2
     plus = minus = 0
-    for (x, sx), (y, sy), sign in (((a, sa), (b, sb), 1), ((c, sc), (d, sd), -1)):
-        if sx * sy:
+    for sign, x, y in ((1, a, b), (-1, c, d)):
+        if x[0] and y[0]:
             (xp, xm), (yp, ym) = _at_two_points(*x, h), _at_two_points(*y, h)
             plus, minus = plus + sign * xp * yp, minus + sign * xm * ym
     return plus, minus, h
