@@ -316,8 +316,8 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
         (e, m - 2), (d, n + m), (d, m - 2), (e, n + m), bound=schur_n._sum(n)
     )
     lhs_plus, lhs_minus = _at_two_points(*schur_n.packed(n), h)
-    up = 8 * h * shift
-    if plus == sign * lhs_plus << up and minus == sign * (-1) ** shift * lhs_minus << up:
+    up, flip = 8 * h * shift, (-1) ** shift  # (-X)^shift = flip X^shift
+    if plus == sign * lhs_plus << up and minus == flip * sign * lhs_minus << up:
         return None
     return _poly_at_two_points(sign * plus, sign * minus, h, -shift)
 

@@ -62,7 +62,8 @@ def test_exports_are_the_modules_lists():
         for name in module.__all__:
             value = getattr(module, name)
             assert getattr(qschur, name) is value, name
-            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+            home = getattr(value, "__module__", module.__name__)
+            assert home == module.__name__, name
 
 
 def test_star_import_gives_the_public_names():

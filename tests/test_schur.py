@@ -399,10 +399,8 @@ class TestPackedProducts:
         w = data.draw(st.integers(1, 23))
         to = data.draw(st.integers(w + 1, 24) if wider else st.integers(1, w))
         top = (1 << (8 * min(w, to) - 1)) - 1
-        pairs = data.draw(st.integers(0, 20))
-        digits = data.draw(
-            st.lists(st.integers(0, top), min_size=2 * pairs + parity, max_size=2 * pairs + parity)
-        )
+        size = 2 * data.draw(st.integers(0, 20)) + parity
+        digits = data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
         even, odd = schur._restride(_pack(digits, w, 1 << (8 * w - 1)), w, to, 2)
         assert even == _pack(digits[0::2], to, 1 << (8 * to - 1))
         assert odd == _pack(digits[1::2], to, 1 << (8 * to - 1))
@@ -422,12 +420,20 @@ class TestPackedProducts:
         the product width ``w`` and where it is ``w + 1``, every Wronskian
         (whose even or odd half is all zero), and zero factors ``D_{-2}`` and
         ``E_{-1}``."""
-        d, e, s = (schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, 5))
+        d, e, s = schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, 5)
         reads = [[(d, m - 1), (e, m), (d, m), (e, m - 1)] for m in range(0, 90)]
-        reads += [[(e, m - 2), (d, n + m), (d, m - 2), (e, n + m)]
-                  for m in (0, 1, 2, 3, 9) for n in (0, 7, 40, 77)]
-        reads += [[(s, k), (d, k + 3), (e, 2 * k + 2), (s, k // 2)] for k in range(-2, 60, 3)]
-        reads += [[(d, -2), (e, 30), (e, -1), (d, 30)], [(e, -2), (d, -1), (e, -1), (d, -2)]]
+        reads += [
+            [(e, m - 2), (d, n + m), (d, m - 2), (e, n + m)]
+            for m in (0, 1, 2, 3, 9)
+            for n in (0, 7, 40, 77)
+        ]
+        reads += [
+            [(s, k), (d, k + 3), (e, 2 * k + 2), (s, k // 2)] for k in range(-2, 60, 3)
+        ]
+        reads += [
+            [(d, -2), (e, 30), (e, -1), (d, 30)],
+            [(e, -2), (d, -1), (e, -1), (d, -2)],
+        ]
         widths, zero_halves = set(), set()
         for four in reads:
             a, b, c, dd = (t.entry(k) for t, k in four)
