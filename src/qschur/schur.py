@@ -52,8 +52,9 @@ class TooLargeError(ValueError):
 TABLE_BUDGET_BYTES = 1 << 28
 
 #: A table keeps the packed pair ``(X_{j-1}, X_j)`` at every ``j`` divisible by
-#: this, so a first read rebuilds its entry in at most this many steps less one.
-CHECKPOINT_SPACING = 8
+#: this, so a read rebuilds its entry in at most half this many steps, up from
+#: the checkpoint below it or down from the checkpoint above it or the frontier.
+CHECKPOINT_SPACING = 16
 
 #: Recurrence tables kept at once, ``D`` and ``E`` included; the least
 #: recently read goes.
@@ -72,13 +73,20 @@ class RecurrenceTable:
 
     The table keeps the frontier pair ``(X_{top-1}, X_top)`` and a
     checkpoint ``(X_{j-1}, X_j, w)`` at each ``j`` divisible by
-    :data:`CHECKPOINT_SPACING`, nothing else.  A read walks from the
-    checkpoint at or below it, at that checkpoint's width, and a build is the
-    same walk from the frontier, which is repacked when a request needs a
-    wider ``w``.  Every width covers the entries up to the next checkpoint.
+    :data:`CHECKPOINT_SPACING`, nothing else.  A read walks from the nearest
+    of these pairs, at that pair's width: up from the checkpoint at or below
+    it, or down from the checkpoint above it or from the frontier.  A build
+    is the upward walk from the frontier, which is repacked when a request
+    needs a wider ``w``.  Every width covers the entries up to the next
+    checkpoint, and so every entry below its pair as well.
 
-    Builds and the checkpoint lookup run under one lock; the walk from the
-    checkpoint and the unpack run outside it.
+    A step down undoes a step up: ``X_{i-2} = (X_i - X_{i-1}) q^-(i+shift)``.
+    It is exact at the pair's width.  Both entries fit it, so the packed
+    difference is the packed ``q^(i+shift) X_{i-2}``, whose digits below
+    ``i + shift`` are all zero, and the shift right drops only those.
+
+    Builds and the choice of the starting pair run under one lock; the walk
+    from it and the unpack run outside it.
     """
 
     def __init__(self, x_minus2: int, x_minus1: int, shift: int = 0):
@@ -87,7 +95,7 @@ class RecurrenceTable:
         self._w = 1
         self._top = -1
         self._frontier = self._initial  # (X_{top-1}, X_top), packed at _w
-        self._checkpoints: list[tuple[int, int, int]] = []  # i: the pair at j = 8i
+        self._checkpoints: list[tuple[int, int, int]] = []  # i: the pair at j = 16i
         self._lock = threading.Lock()
 
     def packed(self, k: int) -> tuple[int, int]:
@@ -97,11 +105,17 @@ class RecurrenceTable:
             raise IndexError(f"Schur polynomial index must be >= -2, got {k}")
         if k < 0:
             return self._initial[k + 2], 1
-        j = k - k % CHECKPOINT_SPACING
+        j = k + CHECKPOINT_SPACING // 2
+        j -= j % CHECKPOINT_SPACING  # the nearest checkpoint
         with self._lock:
             if k > self._top:
                 self._extend(k)
-            a, b, w = self._checkpoints[j // CHECKPOINT_SPACING]
+            if j > self._top:
+                j -= CHECKPOINT_SPACING
+            if self._top - k < abs(k - j):
+                (a, b), j, w = self._frontier, self._top, self._w
+            else:
+                a, b, w = self._checkpoints[j // CHECKPOINT_SPACING]
         return self._walk(a, b, j, k, w)[1], w
 
     def entry(self, k: int) -> LaurentPoly:
@@ -142,10 +156,13 @@ class RecurrenceTable:
         return _width(self._sum(n - n % CHECKPOINT_SPACING + CHECKPOINT_SPACING - 1))
 
     def _walk(self, a: int, b: int, j: int, k: int, w: int) -> tuple[int, int]:
-        """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, to ``(X_{k-1}, X_k)``."""
-        bits = 8 * w
+        """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, up or down to
+        ``(X_{k-1}, X_k)``."""
+        bits, shift = 8 * w, self._shift
         for i in range(j + 1, k + 1):
-            a, b = b, b + (a << bits * (i + self._shift))
+            a, b = b, b + (a << bits * (i + shift))
+        for i in range(j, k, -1):
+            a, b = (b - a) >> bits * (i + shift), a
         return a, b
 
     def _extend(self, n: int) -> None:

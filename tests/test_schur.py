@@ -299,27 +299,63 @@ class TestRecurrenceTable:
     @pytest.mark.parametrize("kind", ["D", "E", "S3"])
     def test_built_table_holds_checkpoints_and_frontier_only(self, kind, fresh_tables):
         """Built through ``n``, a table holds a checkpoint pair per multiple of
-        the spacing up to ``n`` and the frontier pair: at most
-        ``2 ceil((n+3)/8) + 2`` packed values, however many entries are read.
+        the spacing ``s`` up to ``n`` and the frontier pair: at most
+        ``2 ceil((n+3)/s) + 2`` packed values, however many entries are read.
         Each checkpoint's width holds the coefficient sum of every entry up to
         the next checkpoint, which a read may walk to after later builds."""
-        assert CHECKPOINT_SPACING == 8
+        spacing = CHECKPOINT_SPACING
+        assert spacing > 1  # fewer checkpoints than entries
         _read(kind, 0)
         sums = list(_table(kind)._initial)  # S_-2, S_-1, then S_k at k + 2
-        while len(sums) < 240:
+        while len(sums) < 220 + 2 * spacing:
             sums.append(sums[-1] + sums[-2])
         for n in [*range(0, 40), 150, 220]:
             _read(kind, n)
             table = _table(kind)
             packed = 2 * len(table._checkpoints) + len(table._frontier)
-            assert len(table._checkpoints) == n // 8 + 1
-            assert packed <= 2 * ceil((n + 3) / 8) + 2, n
+            assert len(table._checkpoints) == n // spacing + 1
+            assert packed <= 2 * ceil((n + 3) / spacing) + 2, n
             for i, (_a, _b, w) in enumerate(table._checkpoints):
-                assert (sums[8 * i + 7 + 2].bit_length() + 8) // 8 <= w, (n, i)
+                top_sum = sums[spacing * i + spacing - 1 + 2]
+                assert (top_sum.bit_length() + 8) // 8 <= w, (n, i)
         for k in range(0, 221, 3):
             _read(kind, k)
-        assert len(table._checkpoints) == 220 // 8 + 1
+        assert len(table._checkpoints) == 220 // spacing + 1
         assert len(table._frontier) == 2
+
+    @pytest.mark.parametrize("kind", ["D", "E", "S8"])
+    def test_reads_walk_at_most_half_the_spacing(self, kind, fresh_tables, monkeypatch):
+        """Built to 220, a table rebuilds each entry from the nearest pair it
+        holds: up from the checkpoint at or below it, down from the checkpoint
+        above it or down from the frontier.  All three occur, none takes more
+        than half the spacing in steps, and the entries next to every
+        checkpoint and the frontier match the oracle."""
+        half = CHECKPOINT_SPACING // 2
+        _read(kind, 220)
+        table = _table(kind)
+        top, checkpoints = table._top, range(0, 221, CHECKPOINT_SPACING)
+        assert top % CHECKPOINT_SPACING  # the frontier is no checkpoint
+        walks = []
+        walk = RecurrenceTable._walk
+
+        def spy(self, a, b, j, k, w):
+            walks.append((j, k))
+            return walk(self, a, b, j, k, w)
+
+        monkeypatch.setattr(RecurrenceTable, "_walk", spy)
+        edges = [k for j in checkpoints for k in (j - 1, j + half, j + half + 1)]
+        edges = [k for k in (*edges, top - 1, top) if 0 <= k <= top]
+        rest = [k for k in range(top + 1) if k not in edges]
+        random.Random(kind).shuffle(rest)
+        expected = _oracle(kind, 220)
+        for k in [*edges, *rest]:
+            assert _read(kind, k) == expected[k], (kind, k)
+        assert len(walks) == len(edges) + len(rest)
+        assert max(abs(k - j) for j, k in walks) <= half
+        up = {j for j, k in walks if k > j}
+        down = {j for j, k in walks if k < j}
+        assert up and up <= set(checkpoints)
+        assert down & set(checkpoints) and top in down
 
 
 @lru_cache(maxsize=1)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 from qschur import schur
 from qschur.determinant import schur_finite
 from qschur.identities import rr_product_first, rr_product_second
-from qschur.schur import schur_D, schur_E
+from qschur.schur import CHECKPOINT_SPACING, RecurrenceTable, schur_D, schur_E
 from qschur.series import _unpack
 
 # D, E and the shifts 1..11 (shift 0 is D) are 13 tables, more than the
@@ -95,6 +96,75 @@ def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypa
     assert len(unpacked) == len(results) * len(REQUESTS)
     for got in results:
         assert got == serial
+
+
+def test_reads_below_a_moving_top_match_a_serial_run(monkeypatch):
+    """One thread extends a fresh table from 0 to 220 in steps of 5 while three
+    others read the four entries below each top they see; it takes each step
+    once a reader has seen the last.  Those reads walk down from the
+    frontier snapshot each one takes under the lock, and every value equals
+    a serial run's."""
+    table = RecurrenceTable(0, 1, 8)
+    serial = [table.entry(k) for k in range(221)]
+    table = RecurrenceTable(0, 1, 8)
+    built = threading.Event()
+    start = threading.Barrier(4)
+    seen: set[int] = set()  # tops a reader has started below
+    read, wrong = [], []  # list.append is atomic
+    errors: list[Exception] = []
+    from_frontier = []
+    walk = RecurrenceTable._walk
+
+    def spy(self, a, b, j, k, w):
+        if k < j and j % CHECKPOINT_SPACING:  # no checkpoint sits at j
+            from_frontier.append(j)
+        return walk(self, a, b, j, k, w)
+
+    def extender() -> None:
+        try:
+            start.wait(timeout=30)
+            for n in range(0, 221, 5):
+                table.packed(n)
+                deadline = time.monotonic() + 30
+                while n not in seen and not errors and time.monotonic() < deadline:
+                    time.sleep(0)
+        except Exception as exc:  # reported to the main thread below
+            errors.append(exc)
+        built.set()
+
+    def reader() -> None:
+        top = None
+        try:
+            start.wait(timeout=30)
+            while not built.is_set():
+                if table._top == top:
+                    time.sleep(0)
+                    continue
+                top = table._top
+                seen.add(top)
+                for k in range(max(top - 4, 0), top):
+                    read.append(k)
+                    if table.entry(k) != serial[k]:
+                        wrong.append(k)
+        except Exception as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(RecurrenceTable, "_walk", spy)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extender)]
+        threads += [threading.Thread(target=reader) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert table._top == 220 and seen >= set(range(0, 221, 5)) and from_frontier
+    assert set(read) >= set(range(216, 220)) and not wrong, wrong
 
 
 def test_interleaved_product_requests_match_a_serial_run(fresh_products):
