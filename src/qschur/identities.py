@@ -27,7 +27,7 @@ from math import comb, isqrt
 
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
-from .schur import lambda_coeff, mu_coeff, schur_D, schur_E
+from .schur import _check_budget, lambda_coeff, mu_coeff, schur_D, schur_E
 from .series import QSeries, poly_to_series
 
 __all__ = [
@@ -45,15 +45,35 @@ _product_lock = threading.Lock()
 _products: dict[int, list[int]] = {1: [], 2: []}
 
 
+def _product_bytes(order: int) -> int:
+    """A bound on the bytes of a product's coefficient list through
+    ``q^order``, from integers alone.
+
+    ``c_k`` counts partitions of ``k`` into parts ``+-r`` mod 5, so ``c_k <=
+    p(k) < exp(pi sqrt(2k/3))`` (Apostol, Thm 14.5) has at most ``3.701
+    sqrt(k) + 1`` bits, and ``sum_{k<n} sqrt(k) <= (2/3) n^1.5``.  CPython
+    holds ``b`` bits in at most ``28 + 2b/15`` bytes, and the list takes 8
+    more per entry.
+    """
+    n = order + 1
+    bits = -(-3701 * 2 * n * (isqrt(n) + 1) // 3000) + n
+    return 36 * n + -(-2 * bits // 15)
+
+
 def _rr_product(r: int, order: int) -> QSeries:
     """``P_r`` through ``q^order``, computing only the coefficients not yet held.
 
     By the Jacobi triple product ``P_r (q;q)_inf`` is the theta series
     ``sum_n (-1)^n q^(5n(n-1)/2 + (3-r)n)``, so Euler's pentagonal theorem gives
     ``c_k = theta_k + sum_{j>=1} (-1)^(j+1) (c_{k-j(3j-1)/2} + c_{k-j(3j+1)/2})``.
+    An order whose list :func:`_product_bytes` puts over the budget of
+    :data:`~qschur.schur.TABLE_BUDGET_BYTES` raises
+    :class:`~qschur.schur.TooLargeError` before anything is built.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    what = f"a Rogers-Ramanujan product through q^{order}"
+    _check_budget(_product_bytes(order), what)
     c = _products[r]
     if len(c) <= order:
         with _product_lock:

@@ -42,7 +42,8 @@ class SchurKind(enum.Enum):
 
 
 class TooLargeError(ValueError):
-    """A request past a fixed size bound: a recurrence table over
+    """A request past a fixed size bound: a recurrence table or a
+    Rogers-Ramanujan product's coefficient list over
     :data:`TABLE_BUDGET_BYTES`, or the direct determinant oracle past its cap."""
 
 
@@ -50,6 +51,14 @@ class TooLargeError(ValueError):
 #: table would need more is refused with :class:`TooLargeError` before any
 #: entry is built; ``D_400`` needs about 189 MB, ``D_1000`` about 7.3 GB.
 TABLE_BUDGET_BYTES = 1 << 28
+
+
+def _check_budget(size: int, what: str) -> None:
+    """Refuse ``what``, which needs ``size`` bytes, over the budget with
+    :class:`TooLargeError`."""
+    if size > TABLE_BUDGET_BYTES:
+        raise TooLargeError(f"{what} needs more than {TABLE_BUDGET_BYTES} bytes")
+
 
 #: A table keeps the packed pair ``(X_{j-1}, X_j)`` at every ``j`` divisible by
 #: this, so a read rebuilds its entry in at most half this many steps, up from
@@ -167,11 +176,7 @@ class RecurrenceTable:
 
     def _extend(self, n: int) -> None:
         """Walk the frontier up to ``n``, keeping checkpoints; caller holds the lock."""
-        if self.footprint(n) > TABLE_BUDGET_BYTES:
-            raise TooLargeError(
-                f"a recurrence table through index {n} needs more than "
-                f"{TABLE_BUDGET_BYTES} bytes"
-            )
+        _check_budget(self.footprint(n), f"a recurrence table through index {n}")
         w = self._width_through(n)
         if w > self._w:
             self._frontier = tuple(_rewidth(x, self._w, w) for x in self._frontier)
@@ -245,41 +250,122 @@ def _rewidth(value: int, w: int, to: int) -> int:
     return value if w == to else _restride(value, w, to)[0]
 
 
-def _at_two_points(value: int, w: int, h: int) -> tuple[int, int]:
-    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A`` packed at ``w`` bytes:
-    ``E +- (O << 8h)``, with the even and odd digits at ``2h`` bytes."""
-    even, odd = _restride(value, w, 2 * h, 2)
+#: Limbs (30-bit digits) below which CPython multiplies integers by the
+#: schoolbook method; above, by Karatsuba's.
+KARATSUBA_CUTOFF = 70
+
+#: Time of the strided byte copies that evaluate an entry at one radix, per
+#: byte of its packed digits and of its digit size, in limb multiplies.
+#: Measured with CPython 3.11 on x86-64: 2 to 3.
+COPY_COST = 2.5
+
+#: A table entry as :func:`_read` returns it.
+_Entry = tuple[int, int, int]
+
+
+def _read(table: RecurrenceTable, k: int) -> _Entry:
+    """``(value, w, S_k)``: entry ``k`` packed as the ``w``-byte digits of
+    ``value``, none of which exceeds the coefficient sum ``S_k``."""
+    return (*table.packed(k), table._sum(k))
+
+
+def _at_two_points(value: int, w: int, bound: int, h: int) -> tuple[int, int]:
+    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A`` packed at ``w`` bytes,
+    no digit above ``bound``: ``E +- X O``, ``E`` and ``O`` the even and odd
+    digits evaluated at ``X^2``.
+
+    A digit takes ``size = _width(bound)`` bytes.  When ``2h >= size``, ``E``
+    and ``O`` are the even and odd digits copied to ``2h`` bytes each.  At a
+    narrower ``2h`` the digits overlap, so ``E`` is the sum over ``r < L =
+    ceil(size / 2h)`` of the even digits ``i = r mod L`` at ``2hL`` bytes,
+    shifted by ``16 h r`` bits, and ``O`` likewise.  One strided byte copy at
+    step ``2L`` gives all ``2L`` of them.
+    """
+    step = -(-_width(bound) // (2 * h))
+    parts = _restride(value, w, 2 * h * step, 2 * step)
+    even, odd = parts[-2:]
+    for r in range(step - 2, -1, -1):
+        even = (even << 16 * h) + parts[2 * r]
+        odd = (odd << 16 * h) + parts[2 * r + 1]
     odd <<= 8 * h
     return even + odd, even - odd
 
 
-def _packed_cross(
-    *reads: tuple[RecurrenceTable, int], bound: int = 0
-) -> tuple[int, int, int]:
-    """``A B - C D`` from four table entries ``(table, k)``, evaluated at
-    ``X = 2^(8h)`` and at ``-X``: ``(plus, minus, h)``.
+def _half_width(a: _Entry, b: _Entry, c: _Entry, d: _Entry, bound: int = 0) -> int:
+    """``h = ceil(w / 2)`` for entries ``A, B, C, D`` (:func:`_read`): ``w``
+    bytes hold every coefficient of ``A B - C D`` and ``bound`` with a sign
+    bit, so ``2h`` bytes hold them as balanced digits.
 
     No coefficient of an entry is negative, so every coefficient of ``A B``
-    lies in ``0..S(A) S(B)``, and of the difference within
-    ``max(S(A) S(B), S(C) S(D), bound)`` in magnitude; ``w`` bytes hold that
-    with a sign bit, and ``h = ceil(w / 2)``.  This is Harvey's two-point
-    Kronecker substitution: each operand's even and odd digits are split
-    into ``2h``-byte digits by one strided byte copy, narrower or wider than
-    its table's (a product with a zero factor is skipped, as the other
-    factor's digits may not fit), and four multiplies at half the one-point
-    width give both values.  The even and odd coefficients of the result
-    are the balanced ``2h``-byte digits of ``(plus + minus) / 2`` and
-    ``(plus - minus) / (2X)``, and ``2h >= w`` holds every one of them.
+    lies in ``0..S(A) S(B)``, and of the difference within ``max(S(A) S(B),
+    S(C) S(D))`` in magnitude.
     """
-    a, b, c, d = [t.packed(k) for t, k in reads]
-    sa, sb, sc, sd = [t._sum(k) for t, k in reads]
-    h = (_width(max(sa * sb, sc * sd, bound)) + 1) // 2
+    return (_width(max(a[2] * b[2], c[2] * d[2], bound)) + 1) // 2
+
+
+def _packed_cross(
+    a: _Entry, b: _Entry, c: _Entry, d: _Entry, h: int
+) -> tuple[int, int]:
+    """``A B - C D`` for entries ``A, B, C, D`` (:func:`_read`), evaluated at
+    ``X = 2^(8h)`` and at ``-X``: ``(plus, minus)``.
+
+    This is Harvey's two-point Kronecker substitution: each operand is
+    evaluated at both points by :func:`_at_two_points`, and four multiplies
+    at half the one-point width give both values (a product with a zero
+    factor is skipped).  At ``h`` from :func:`_half_width` the even and odd
+    coefficients of the result are the balanced ``2h``-byte digits of
+    ``(plus + minus) / 2`` and ``(plus - minus) / (2X)``.
+    """
     plus = minus = 0
     for sign, x, y in ((1, a, b), (-1, c, d)):
         if x[0] and y[0]:
             (xp, xm), (yp, ym) = _at_two_points(*x, h), _at_two_points(*y, h)
             plus, minus = plus + sign * xp * yp, minus + sign * xm * ym
-    return plus, minus, h
+    return plus, minus
+
+
+def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]:
+    """Distinct byte widths ``t`` at which ``A B - C D`` and ``S`` are compared
+    in :func:`_decomposition`, each at ``+-2^(8t)``, for entries ``A, B, C,
+    D, S`` (:func:`_read`).
+
+    They cover ``M = max(S(A) S(B), S(C) S(D)) + S(S)``, the bound on every
+    coefficient of the difference: ``prod (2^(16t) - 1) > M``.  Candidates
+    are the pair ``h`` of :func:`_half_width`, which covers ``M`` since
+    ``2^(16h) - 1 >= 2^(8w) - 1 > 2 max(S(A) S(B), S(C) S(D), S(S))``, and
+    for each ``k >= 2`` the ``k`` most nearly equal distinct ``t >= 1`` that
+    sum to ``need = ceil((bits(M) + 1) / 16)``, which cover ``M`` since
+    ``prod (2^(16t) - 1) > 2^(16 need - 1) >= 2^bits(M)`` (``prod (1 -
+    2^(-16t)) > 1/2``).  The cheapest by :func:`_cost` is taken.
+    """
+    bound = max(a[2] * b[2], c[2] * d[2]) + s[2]
+    need = (bound.bit_length() + 16) // 16
+    candidates = [[_half_width(a, b, c, d, s[2])]]
+    for k in range(2, need + 1):
+        low, extra = divmod(need - k * (k - 1) // 2, k)
+        if low < 1:
+            break
+        candidates.append([low + i + (i >= k - extra) for i in range(k)])
+    sizes = [(_digits(v, w), w, _width(top)) for v, w, top in (a, b, c, d, s)]
+    return min(candidates, key=lambda radices: sum(_cost(t, sizes) for t in radices))
+
+
+def _cost(t: int, sizes: list[tuple[int, int, int]]) -> float:
+    """Estimated time of :func:`_decomposition`'s check at radix ``t``, in
+    limb multiplies, from each entry's digit count ``n``, width ``w`` and
+    digit size: every entry is copied (:data:`COPY_COST` per byte of ``n (w
+    + size)``), and both products are multiplied at both points, an operand
+    ``A(2^(8t))`` holding about ``n t + size`` bytes.  CPython multiplies
+    ``x <= y`` limbs in about ``x y`` steps up to :data:`KARATSUBA_CUTOFF`,
+    and in about ``y x^0.585 70^0.415`` above it (``0.585 = log2(3) - 1``).
+    """
+    total = COPY_COST * sum(n * (w + size) for n, w, size in sizes)
+    limbs = [(n * t + size) * 8 / 30 for n, _, size in sizes]
+    for i in (0, 2):
+        if sizes[i][0] and sizes[i + 1][0]:
+            x, y = sorted(limbs[i : i + 2])
+            total += 2 * y * min(x, KARATSUBA_CUTOFF) ** 0.415 * x ** 0.585
+    return total
 
 
 def _poly(value: int, w: int, min_exp: int = 0) -> LaurentPoly:
@@ -311,7 +397,9 @@ def wronskian(m: int) -> LaurentPoly:
     if m < 0:
         raise IndexError(f"wronskian requires m >= 0, got {m}")
     d, e = _table(0, 1), _table(1, 0)
-    return _poly_at_two_points(*_packed_cross((d, m - 1), (e, m), (d, m), (e, m - 1)))
+    cross = [_read(d, m - 1), _read(e, m), _read(d, m), _read(e, m - 1)]
+    h = _half_width(*cross)
+    return _poly_at_two_points(*_packed_cross(*cross, h), h)
 
 
 def _decomposition(n: int, m: int) -> LaurentPoly | None:
@@ -319,23 +407,38 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
     ``Schur_n`` for shift ``m``.
 
     By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
-    ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``.  That difference is evaluated at
-    ``X`` and ``-X`` by :func:`_packed_cross`, and compared with
-    ``(-1)^m q^binomial(m, 2) Schur_n`` at the same two points.  Every
-    coefficient on either side, ``Schur_n``'s included, lies inside the
-    balanced ``2h``-byte range, so equal values at both points mean equal
-    even and equal odd digit strings, that is, equal polynomials.  Only on a
-    mismatch is the sum unpacked.
+    ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, so the check is that ``f``, that
+    difference minus ``(-1)^m q^binomial(m, 2) Schur_n``, is zero.  Both are
+    evaluated at ``+-Y`` for ``Y = 2^(8t)`` and each ``t`` of
+    :func:`_radices`, which cover ``M``, a bound on every coefficient of
+    ``f``: ``prod (Y^2 - 1) > M``.
+
+    The check is exact.  If ``f`` vanishes at every ``+-Y``, then ``f =
+    prod (q^2 - Y^2) k`` over the integers, since the factors are monic at
+    distinct points.  Dividing ``f = (q^2 - Y^2) g`` out from the lowest
+    coefficient up, ``g_i = (g_{i-2} - f_i) / Y^2``, keeps every ``|g_i|`` at
+    most ``M / (Y^2 - 1)``: ``(M / (Y^2 - 1) + M) / Y^2`` is that bound.  So
+    after all the factors ``|k_i| <= M / prod (Y^2 - 1) < 1``, ``k = 0`` and
+    ``f = 0``.
+
+    Only on a mismatch is the sum unpacked, from its values at the pair of
+    :func:`_half_width`.
     """
     schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
+    cross = [_read(e, m - 2), _read(d, n + m), _read(d, m - 2), _read(e, n + m)]
+    lhs = _read(schur_n, n)
     shift, sign = comb(m, 2), -1 if m % 2 else 1
-    plus, minus, h = _packed_cross(
-        (e, m - 2), (d, n + m), (d, m - 2), (e, n + m), bound=schur_n._sum(n)
-    )
-    lhs_plus, lhs_minus = _at_two_points(*schur_n.packed(n), h)
-    up, flip = 8 * h * shift, (-1) ** shift  # (-X)^shift = flip X^shift
-    if plus == sign * lhs_plus << up and minus == flip * sign * lhs_minus << up:
+    flip = (-1) ** shift  # (-Y)^shift = flip Y^shift
+    for t in _radices(*cross, lhs):
+        plus, minus = _packed_cross(*cross, t)
+        lhs_plus, lhs_minus = _at_two_points(*lhs, t)
+        up = 8 * t * shift
+        if plus != sign * lhs_plus << up or minus != flip * sign * lhs_minus << up:
+            break
+    else:
         return None
+    h = _half_width(*cross, lhs[2])
+    plus, minus = _packed_cross(*cross, h)
     return _poly_at_two_points(sign * plus, sign * minus, h, -shift)
 
 

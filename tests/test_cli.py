@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from qschur import schur
 from qschur.cli import canonical_json, main
 from qschur.determinant import schur_finite
 
@@ -17,6 +18,22 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_refused_fast(*argv: str) -> None:
+    """A fresh ``qschur`` process exits 2 within a second, stdout empty."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "bytes" in proc.stderr
+    assert elapsed < 1.0
 
 
 class TestVerifyCommand:
@@ -99,38 +116,21 @@ class TestSchurPolyCommand:
 
     def test_over_budget_index_refused_fast(self):
         """A fresh process refuses from the size estimate, before building."""
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "qschur", "schur-poly", "--kind", "D",
-             "--index", "100000"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and "bytes" in proc.stderr
-        assert elapsed < 1.0
+        _assert_refused_fast("schur-poly", "--kind", "D", "--index", "100000")
 
 
 class TestVerifyRefusal:
     def test_over_budget_shift_refused_fast(self):
         """A fresh process refuses m = 1000 (it needs ``D_998``) from the
         table size estimate, before any series is built."""
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "qschur", "verify", "--m-min", "1000",
-             "--m-max", "1000", "--order", "10"],
-            capture_output=True,
-            text=True,
-            timeout=60,
+        _assert_refused_fast(
+            "verify", "--m-min", "1000", "--m-max", "1000", "--order", "10"
         )
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and "bytes" in proc.stderr
-        assert elapsed < 1.0
+
+    def test_over_budget_order_refused_fast(self):
+        """A fresh process refuses order 3 * 10^6 at m = 0 from the size bound
+        on the product's coefficient list, before building any series."""
+        _assert_refused_fast("verify", "--m-max", "0", "--order", "3000000")
 
     def test_refusal_prints_no_report_of_smaller_shifts(self, capsys, fresh_tables):
         code, out, err = run_cli(
@@ -174,6 +174,11 @@ class TestProductCommand:
         code, _, err = run_cli(capsys, "product", "--which", "rr1", "--order", "-2")
         assert code == 2
         assert "order" in err
+
+    def test_over_budget_order_refused_fast(self):
+        """A fresh process refuses order 10^7 from the size bound on the
+        coefficient list, before building any coefficient."""
+        _assert_refused_fast("product", "--which", "rr1", "--order", "10000000")
 
 
 class TestDeterminantCommand:
@@ -223,6 +228,33 @@ class TestDeterminantCommand:
             "params": {"n": 4, "m": 1},
             "status": "pass",
         }
+
+    def test_check_at_small_shifts_evaluates_at_one_pair(
+        self, capsys, fresh_tables, monkeypatch
+    ):
+        """``--check`` at ``m <= 8`` compares the decomposition at the one
+        pair ``+-2^(8h)`` of :func:`schur._half_width`, over the benchmark's
+        ``determinant`` sizes."""
+        calls = []
+        cross = schur._packed_cross
+
+        def spy(*args):
+            calls.append(args[-1])
+            return cross(*args)
+
+        monkeypatch.setattr(schur, "_packed_cross", spy)
+        for m in range(9):
+            for n in (100, 125, 150):
+                calls.clear()
+                code, out, _ = run_cli(
+                    capsys, "determinant", "--n", str(n), "--m", str(m), "--check"
+                )
+                assert code == 0 and out.endswith("decompose: pass\n"), (n, m)
+                d, e = schur._table(0, 1), schur._table(1, 0)
+                reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m))
+                bound = schur._table(0, 1, m)._sum(n)
+                h = schur._half_width(*(schur._read(*r) for r in reads), bound)
+                assert calls == [h], (n, m)
 
     def test_negative_arguments_rejected(self, capsys):
         assert run_cli(capsys, "determinant", "--n", "-1", "--m", "0")[0] == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from math import prod
 
 import pytest
 
@@ -23,6 +24,8 @@ from qschur.series import (
     ONE,
     LaurentPoly,
     Q,
+    _pack,
+    _width,
     monomial,
     poly_to_series,
 )
@@ -250,3 +253,99 @@ class TestDecompose:
         assert report == expected
         assert report.to_text() == expected.to_text()
         assert json.dumps(report.to_json_obj()) == json.dumps(expected.to_json_obj())
+
+    @pytest.mark.parametrize("n, m", [(140, 40), (60, 20), (33, 2), (150, 8)])
+    def test_near_miss_at_one_radix_is_caught(self, n, m, fresh_tables):
+        """A wrong ``Schur_n``, the right one plus ``c q^k (q^2 - Y^2)`` for
+        one radix ``t`` the check evaluates at, ``Y = 2^(8t)``, agrees with
+        the right one at ``+-Y``, and still fails with the report
+        ``compare_polys`` gives.
+
+        Where several radices are taken, ``c = 1`` at a coefficient of at
+        least ``Y^2`` keeps every coefficient nonnegative and below the
+        table's bound, so the same radices are taken.  Where the one pair
+        ``h`` is taken, ``Y^2 = 2^(16h)`` exceeds every coefficient, so ``c =
+        -1`` below the top, and the bound, now above ``2^(16h)``, moves the
+        check to other radices."""
+        d, e, table = schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, m)
+        reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m))
+        cross = [schur._read(*r) for r in reads]
+        radices = schur._radices(*cross, schur._read(table, n))
+        right = table.entry(n)
+        t = radices[0]
+        y2 = 1 << (16 * t)
+        if len(radices) > 1:
+            c, k = 1, right.coeffs.index(max(right.coeffs))
+            assert right.coeffs[k] >= y2
+        else:
+            c, k = -1, right.degree - 2
+        near = monomial(c, k) * (Q * Q - y2)
+        for y in (1 << 8 * t, -(1 << 8 * t)):
+            assert sum(cf * y**i for i, cf in enumerate(near.coeffs, k)) == 0
+        wrong = right + near
+        assert wrong.min_exp == 0 and min(wrong.coeffs) >= 0
+        bound = max(table._sum(n), sum(wrong.coeffs))
+        stub = _FixedEntry(table, n, wrong, bound)
+        schur._tables[(0, 1, m)] = stub
+        taken = schur._radices(*cross, schur._read(stub, n))
+        assert (t in taken) == (len(radices) > 1)
+        rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
+        assert rhs == right
+        expected = compare_polys("decomposition", {"n": n, "m": m}, wrong, rhs)
+        report = decompose(n, m)
+        assert not report.passed
+        assert report == expected
+
+    def test_radices_are_distinct_and_cover_the_bound(self, fresh_tables):
+        """Over the grid above and the ``decompose`` and ``determinant
+        --check`` sizes of the benchmark, the radices are distinct, at least
+        1, and ``prod (2^(16t) - 1)`` exceeds ``M = max(S(A) S(B), S(C) S(D))
+        + S(Schur_n)``; at ``m <= 8`` they are the one pair."""
+        grid = [
+            (n, m) for m in (0, 1, 2, 3, 4, 7, 12, 20, 40) for n in (0, 1, 2, 5, 33, 90)
+        ]
+        grid += [(n, m) for m in (20, 30, 40) for n in range(60, 141)]
+        grid += [(n, m) for m in range(9) for n in range(100, 151)]
+        d, e = schur._table(0, 1), schur._table(1, 0)
+        counts = set()
+        for n, m in grid:
+            table = schur._table(0, 1, m)
+            reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m), (table, n))
+            entries = [schur._read(*r) for r in reads]
+            radices = schur._radices(*entries)
+            sa, sb, sc, sd, ss = (t._sum(k) for t, k in reads)
+            bound = max(sa * sb, sc * sd) + ss
+            assert len(set(radices)) == len(radices) and min(radices) >= 1, (n, m)
+            assert prod((1 << 16 * t) - 1 for t in radices) > bound, (n, m)
+            if m <= 8 and n >= 100:
+                assert radices == [schur._half_width(*entries[:4], ss)], (n, m)
+            counts.add(len(radices))
+        assert {1, 2, 3} <= counts
+        # S(Schur_n) carries M = 2^128 - 1 past the 127 bits of the products.
+        def entry(digits: int, bound: int) -> tuple[int, int, int]:
+            return 1 << 8 * 17 * (digits - 1), 17, bound
+
+        a, b, d = entry(400, 1), entry(8000, (1 << 127) - 1), entry(8000, 1)
+        radices = schur._radices(a, b, (0, 1, 0), d, entry(7000, 1 << 127))
+        assert len(radices) > 1
+        assert prod((1 << 16 * t) - 1 for t in radices) > (1 << 128) - 1
+
+
+class _FixedEntry:
+    """A table whose entry ``n`` is a given polynomial with nonnegative
+    coefficients, bounded by ``bound``; every other entry is ``table``'s."""
+
+    def __init__(self, table: RecurrenceTable, n: int, poly: LaurentPoly, bound: int):
+        self._table, self._n, self._poly, self._bound = table, n, poly, bound
+
+    def packed(self, k: int) -> tuple[int, int]:
+        if k != self._n:
+            return self._table.packed(k)
+        w = _width(self._bound)
+        return _pack(self._poly.coeffs, w, 1 << (8 * w - 1)), w
+
+    def entry(self, k: int) -> LaurentPoly:
+        return self._poly if k == self._n else self._table.entry(k)
+
+    def _sum(self, k: int) -> int:
+        return self._bound if k == self._n else self._table._sum(k)

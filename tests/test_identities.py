@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from functools import lru_cache
 from math import comb
 
@@ -79,6 +80,23 @@ class TestProducts:
             assert rr_product_first(order) == _oracle(frozenset({1, 4}), order)
             assert rr_product_second(order) == _oracle(frozenset({2, 3}), order)
         assert [len(c) for c in identities._products.values()] == [2001, 2001]
+
+    def test_size_bound_holds_and_refuses_before_building(self, fresh_products):
+        """The bound from ``p(k) < exp(pi sqrt(2k/3))`` is above the list's
+        real size, lets through the orders ``verify_gis(200, 10)`` and ``m =
+        0..20`` at order 1000 ask for, and refuses order 10^7 with nothing
+        built."""
+        rr_product_first(3000)
+        held = identities._products[1]
+        real = sys.getsizeof(held) + sum(map(sys.getsizeof, held))
+        assert real <= identities._product_bytes(3000) < 2 * real
+        for order in (10 + comb(200, 2), 1000 + comb(20, 2)):
+            assert identities._product_bytes(order) <= schur.TABLE_BUDGET_BYTES
+        fresh_products()
+        for refuse in (rr_product_first, rr_product_second):
+            with pytest.raises(TooLargeError, match="bytes"):
+                refuse(10**7)
+        assert identities._products == {1: [], 2: []}
 
     def test_truncation_consistency(self):
         """A deeper product truncates to exactly the shallower one."""

@@ -420,7 +420,9 @@ class TestPackedProducts:
         for _ in range(60):
             reads = [(rng.randrange(3), rng.randint(-2, 120)) for _ in range(4)]
             a, b, c, d = (plain[t].entry(k) for t, k in reads)
-            plus, minus, h = schur._packed_cross(*((packed[t], k) for t, k in reads))
+            entries = [schur._read(packed[t], k) for t, k in reads]
+            h = schur._half_width(*entries)
+            plus, minus = schur._packed_cross(*entries, h)
             assert _two_point_values(a * b - c * d, h) == (plus, minus), reads
             assert schur._poly_at_two_points(plus, minus, h) == a * b - c * d, reads
 
@@ -448,7 +450,36 @@ class TestPackedProducts:
     def test_split_of_zero_and_a_single_digit(self):
         assert schur._restride(0, 3, 4, 2) == [0, 0]
         assert schur._restride(0x7F, 1, 2, 2) == [0x7F, 0]
-        assert schur._at_two_points(0x7F, 1, 1) == (0x7F, 0x7F)
+        assert schur._at_two_points(0x7F, 1, 0x7F, 1) == (0x7F, 0x7F)
+
+    def test_evaluation_against_direct_sums(self):
+        """``_at_two_points`` against ``sum(c (+-2^(8t))^i)`` for digits packed
+        at ``w`` bytes that take ``size`` of them, at ``2t`` narrower than,
+        equal to and wider than ``size``, with ``2t`` dividing ``w`` and not;
+        the zero operand, a single digit and odd and even counts included."""
+        rng = random.Random(13)
+        seen = set()
+        for w in range(1, 8):
+            for size in range(1, w + 1):
+                bound = (1 << (8 * size - 1)) - 1  # its width is size bytes
+                for count in range(6):
+                    digits = [rng.randint(0, bound) for _ in range(count)]
+                    value = _pack(digits, w, 1 << (8 * w - 1))
+                    for t in range(1, w + 2):
+                        y = 1 << (8 * t)
+                        expected = tuple(
+                            sum(c * x**i for i, c in enumerate(digits))
+                            for x in (y, -y)
+                        )
+                        assert schur._at_two_points(value, w, bound, t) == expected
+                        seen.add(("digits", min(count, 2 + count % 2)))
+                        seen.add(("2t vs size", (2 * t > size) - (2 * t < size)))
+                        seen.add(("2t divides w", w % (2 * t) == 0))
+        assert seen == {
+            *(("digits", k) for k in range(4)),
+            *(("2t vs size", k) for k in (-1, 0, 1)),
+            *(("2t divides w", k) for k in (False, True)),
+        }
 
     def test_cross_against_laurent_arithmetic(self, fresh_tables):
         """``_packed_cross`` against ``A B - C D`` in ``LaurentPoly``
@@ -474,7 +505,9 @@ class TestPackedProducts:
         for four in reads:
             a, b, c, dd = (t.entry(k) for t, k in four)
             expected = a * b - c * dd
-            plus, minus, h = schur._packed_cross(*four)
+            entries = [schur._read(t, k) for t, k in four]
+            h = schur._half_width(*entries)
+            plus, minus = schur._packed_cross(*entries, h)
             sums = [t._sum(k) for t, k in four]
             w = schur._width(max(sums[0] * sums[1], sums[2] * sums[3]))
             widths.add(2 * h - w)
