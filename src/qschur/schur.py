@@ -60,9 +60,9 @@ def _check_budget(size: int, what: str) -> None:
         raise TooLargeError(f"{what} needs more than {TABLE_BUDGET_BYTES} bytes")
 
 
-#: A table keeps the packed pair ``(X_{j-1}, X_j)`` at every ``j`` divisible by
-#: this, so a read rebuilds its entry in at most half this many steps, up from
-#: the checkpoint below it or down from the checkpoint above it or the frontier.
+#: A read that walks down keeps the packed pair ``(X_{j-1}, X_j)`` at every
+#: ``j`` divisible by this that it passes, so once the checkpoints around an
+#: entry are held, a read rebuilds it in at most half this many steps.
 CHECKPOINT_SPACING = 16
 
 #: Recurrence tables kept at once, ``D`` and ``E`` included; the least
@@ -80,22 +80,26 @@ class RecurrenceTable:
     same recurrence at ``q = 1``; ``w`` for every entry through a target
     index is therefore known before the build.
 
-    The table keeps the frontier pair ``(X_{top-1}, X_top)`` and a
-    checkpoint ``(X_{j-1}, X_j, w)`` at each ``j`` divisible by
-    :data:`CHECKPOINT_SPACING`, nothing else.  A read walks from the nearest
-    of these pairs, at that pair's width: up from the checkpoint at or below
-    it, or down from the checkpoint above it or from the frontier.  A build
-    is the upward walk from the frontier, which is repacked when a request
-    needs a wider ``w``.  Every width covers the entries up to the next
-    checkpoint, and so every entry below its pair as well.
+    A build walks the frontier pair ``(X_{top-1}, X_top)`` up and keeps
+    nothing else; the frontier is repacked when a request needs a wider
+    ``w``.  A table read only at its top therefore holds that one pair.
+    Below the top, the checkpoints ``(X_{j-1}, X_j, w)`` at multiples ``j``
+    of :data:`CHECKPOINT_SPACING` are a cache that reads fill.  A read walks
+    from the nearest pair held: up from the checkpoint at or below it, or
+    down from the lowest checkpoint above it or from the frontier.  Walking
+    down, it keeps each checkpoint it passes, and walks on to the checkpoint
+    at or below it when that one is not held yet.  Each kept pair is
+    repacked to the width of its own segment, :meth:`_width_through`, which
+    covers every entry up to the next checkpoint.
 
     A step down undoes a step up: ``X_{i-2} = (X_i - X_{i-1}) q^-(i+shift)``.
     It is exact at the pair's width.  Both entries fit it, so the packed
     difference is the packed ``q^(i+shift) X_{i-2}``, whose digits below
     ``i + shift`` are all zero, and the shift right drops only those.
 
-    Builds and the choice of the starting pair run under one lock; the walk
-    from it and the unpack run outside it.
+    Builds, the choice of the starting pair and the keeping of checkpoints
+    run under one lock, and the first pair kept at a ``j`` stays; walks,
+    repacks and unpacks run outside it.
     """
 
     def __init__(self, x_minus2: int, x_minus1: int, shift: int = 0):
@@ -104,7 +108,7 @@ class RecurrenceTable:
         self._w = 1
         self._top = -1
         self._frontier = self._initial  # (X_{top-1}, X_top), packed at _w
-        self._checkpoints: list[tuple[int, int, int]] = []  # i: the pair at j = 16i
+        self._checkpoints: dict[int, tuple[int, int, int]] = {}  # j: (X_{j-1}, X_j, w)
         self._lock = threading.Lock()
 
     def packed(self, k: int) -> tuple[int, int]:
@@ -114,18 +118,19 @@ class RecurrenceTable:
             raise IndexError(f"Schur polynomial index must be >= -2, got {k}")
         if k < 0:
             return self._initial[k + 2], 1
-        j = k + CHECKPOINT_SPACING // 2
-        j -= j % CHECKPOINT_SPACING  # the nearest checkpoint
+        low = k - k % CHECKPOINT_SPACING  # the checkpoint at or below k
         with self._lock:
             if k > self._top:
                 self._extend(k)
-            if j > self._top:
-                j -= CHECKPOINT_SPACING
-            if self._top - k < abs(k - j):
-                (a, b), j, w = self._frontier, self._top, self._w
-            else:
-                a, b, w = self._checkpoints[j // CHECKPOINT_SPACING]
-        return self._walk(a, b, j, k, w)[1], w
+            held = self._checkpoints
+            j = min((i for i in held if i > k), default=self._top)
+            a, b, w = held[j] if j in held else (*self._frontier, self._w)
+            if low in held and k - low <= j - k:
+                (a, b, w), j = held[low], low
+            bottom = k if low in held else low
+        if j <= k:
+            return self._walk(a, b, j, k, w)[1], w
+        return self._walk_down(a, b, j, k, bottom, w)
 
     def entry(self, k: int) -> LaurentPoly:
         """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget."""
@@ -174,21 +179,40 @@ class RecurrenceTable:
             a, b = (b - a) >> bits * (i + shift), a
         return a, b
 
+    def _walk_down(
+        self, a: int, b: int, j: int, k: int, bottom: int, w: int
+    ) -> tuple[int, int]:
+        """``(value, w)`` of ``X_k``, walked down from the pair ``(X_{j-1},
+        X_j)`` packed at ``w`` and on to ``bottom <= k``.  The pair at every
+        checkpoint below ``j`` and at or above ``bottom`` is repacked to its
+        segment's width, the walk goes on from it, and it is kept unless a
+        pair is held there already."""
+        spacing, kept = CHECKPOINT_SPACING, []
+        stops = range(j - 1 - (j - 1) % spacing, bottom - 1, -spacing)
+        for stop in sorted({k, *stops}, reverse=True):
+            a, b = self._walk(a, b, j, stop, w)
+            j = stop
+            if stop % spacing == 0:
+                to = self._width_through(stop)
+                a, b, w = _rewidth(a, w, to), _rewidth(b, w, to), to
+                kept.append((stop, (a, b, w)))
+            if stop == k:
+                value = b, w
+        with self._lock:
+            for i, pair in kept:
+                if i not in self._checkpoints:
+                    self._checkpoints[i] = pair
+        return value
+
     def _extend(self, n: int) -> None:
-        """Walk the frontier up to ``n``, keeping checkpoints; caller holds the lock."""
+        """Walk the frontier up to ``n``; caller holds the lock."""
         _check_budget(self.footprint(n), f"a recurrence table through index {n}")
         w = self._width_through(n)
         if w > self._w:
             self._frontier = tuple(_rewidth(x, self._w, w) for x in self._frontier)
             self._w = w
-        (a, b), j, w = self._frontier, self._top, self._w
-        while j < n:
-            stop = min(n, j - j % CHECKPOINT_SPACING + CHECKPOINT_SPACING)
-            a, b = self._walk(a, b, j, stop, w)
-            j = stop
-            if j % CHECKPOINT_SPACING == 0:
-                self._checkpoints.append((a, b, w))
-        self._frontier, self._top = (a, b), n
+        self._frontier = self._walk(*self._frontier, self._top, n, self._w)
+        self._top = n
 
 
 _tables: dict[tuple[int, int, int], RecurrenceTable] = {}  # in order of last use
@@ -229,13 +253,22 @@ def schur_E(m: int) -> LaurentPoly:
     return schur_polynomial(SchurKind.E, m)
 
 
-def _restride(value: int, w: int, to: int, step: int = 1) -> list[int]:
-    """A packed entry, nonnegative ``w``-byte digits, cut into ``step`` packed
-    values at ``to`` bytes per digit by a strided byte copy: the ``r``-th holds
-    digits ``r, r + step, r + 2 step, ...``.  Narrowing keeps the low ``to``
-    bytes of each digit, so every digit must fit them."""
-    n = _digits(value, w)
-    src = value.to_bytes(n * w, "little")
+def _bytes(value: int | bytes, w: int) -> bytes:
+    """A packed entry's ``w``-byte digits as little-endian bytes; bytes pass
+    through, so an entry converted once is not converted again."""
+    if isinstance(value, bytes):
+        return value
+    return value.to_bytes(_digits(value, w) * w, "little")
+
+
+def _restride(value: int | bytes, w: int, to: int, step: int = 1) -> list[int]:
+    """A packed entry, nonnegative ``w``-byte digits as an integer or as
+    :func:`_bytes`, cut into ``step`` packed values at ``to`` bytes per digit
+    by a strided byte copy: the ``r``-th holds digits ``r, r + step, r + 2
+    step, ...``.  Narrowing keeps the low ``to`` bytes of each digit, so
+    every digit must fit them."""
+    src = _bytes(value, w)
+    n = len(src) // w
     parts = []
     for r in range(step):
         out = bytearray(len(range(r, n, step)) * to)
@@ -269,10 +302,10 @@ def _read(table: RecurrenceTable, k: int) -> _Entry:
     return (*table.packed(k), table._sum(k))
 
 
-def _at_two_points(value: int, w: int, bound: int, h: int) -> tuple[int, int]:
-    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A`` packed at ``w`` bytes,
-    no digit above ``bound``: ``E +- X O``, ``E`` and ``O`` the even and odd
-    digits evaluated at ``X^2``.
+def _at_two_points(value: int | bytes, w: int, bound: int, h: int) -> tuple[int, int]:
+    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A`` packed at ``w`` bytes
+    (an integer or its :func:`_bytes`), no digit above ``bound``: ``E +- X
+    O``, ``E`` and ``O`` the even and odd digits evaluated at ``X^2``.
 
     A digit takes ``size = _width(bound)`` bytes.  When ``2h >= size``, ``E``
     and ``O`` are the even and odd digits copied to ``2h`` bytes each.  At a
@@ -392,12 +425,15 @@ def wronskian(m: int) -> LaurentPoly:
     """``D_{m-1} E_m - D_m E_{m-1}``, computed from the packed table entries.
 
     Never uses the closed form ``(-1)^m q^(binomial(m+1, 2))``; verifying that
-    the two agree is left to the test suite.
+    the two agree is left to the test suite.  Each table is read in
+    ascending order, so a table first read here is read at its top.
     """
     if m < 0:
         raise IndexError(f"wronskian requires m >= 0, got {m}")
     d, e = _table(0, 1), _table(1, 0)
-    cross = [_read(d, m - 1), _read(e, m), _read(d, m), _read(e, m - 1)]
+    d_low, d_m = _read(d, m - 1), _read(d, m)
+    e_low, e_m = _read(e, m - 1), _read(e, m)
+    cross = [d_low, e_m, d_m, e_low]
     h = _half_width(*cross)
     return _poly_at_two_points(*_packed_cross(*cross, h), h)
 
@@ -421,15 +457,21 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
     after all the factors ``|k_i| <= M / prod (Y^2 - 1) < 1``, ``k = 0`` and
     ``f = 0``.
 
-    Only on a mismatch is the sum unpacked, from its values at the pair of
+    ``E_{m-2}`` and ``D_{m-2}`` are read before ``D_{n+m}`` and ``E_{n+m}``,
+    so tables first read here are read at their tops and keep no checkpoint.
+    Each entry is converted to bytes once for every radix.  Only on a
+    mismatch is the sum unpacked, from its values at the pair of
     :func:`_half_width`.
     """
     schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
-    cross = [_read(e, m - 2), _read(d, n + m), _read(d, m - 2), _read(e, n + m)]
+    e_low, d_low = _read(e, m - 2), _read(d, m - 2)
+    cross = [e_low, _read(d, n + m), d_low, _read(e, n + m)]
     lhs = _read(schur_n, n)
+    radices = _radices(*cross, lhs)
+    *cross, lhs = [(_bytes(v, w), w, s) for v, w, s in (*cross, lhs)]
     shift, sign = comb(m, 2), -1 if m % 2 else 1
     flip = (-1) ** shift  # (-Y)^shift = flip Y^shift
-    for t in _radices(*cross, lhs):
+    for t in radices:
         plus, minus = _packed_cross(*cross, t)
         lhs_plus, lhs_minus = _at_two_points(*lhs, t)
         up = 8 * t * shift

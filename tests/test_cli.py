@@ -256,6 +256,33 @@ class TestDeterminantCommand:
                 h = schur._half_width(*(schur._read(*r) for r in reads), bound)
                 assert calls == [h], (n, m)
 
+    def test_one_shot_commands_read_each_table_at_its_top(
+        self, capsys, fresh_tables, monkeypatch
+    ):
+        """On fresh tables, ``determinant --check`` at ``m = 0..8`` and
+        ``schur-poly`` read every table at its top: no walk goes down more
+        than half the checkpoint spacing, and no table keeps a checkpoint."""
+        walks = []
+        walk = schur.RecurrenceTable._walk
+
+        def spy(self, a, b, j, k, w):
+            walks.append((j, k))
+            return walk(self, a, b, j, k, w)
+
+        monkeypatch.setattr(schur.RecurrenceTable, "_walk", spy)
+        commands = [
+            ("determinant", "--n", "120", "--m", str(m), "--check") for m in range(9)
+        ]
+        commands += [("schur-poly", "--kind", kind, "--index", "160") for kind in "DE"]
+        for command in commands:
+            fresh_tables()
+            walks.clear()
+            code, _out, _err = run_cli(capsys, *command, "--format", "json")
+            assert code == 0, command
+            down = [j - k for j, k in walks if k < j]
+            assert max(down, default=0) <= schur.CHECKPOINT_SPACING // 2, command
+            assert not any(t._checkpoints for t in schur._tables.values()), command
+
     def test_negative_arguments_rejected(self, capsys):
         assert run_cli(capsys, "determinant", "--n", "-1", "--m", "0")[0] == 2
         assert run_cli(capsys, "determinant", "--n", "0", "--m", "-1")[0] == 2

@@ -225,14 +225,24 @@ class TestRecurrenceTable:
             assert _read(kind, k) == expected[k], (kind, k)
 
     @pytest.mark.parametrize("kind", ["D", "E", "S8"])
-    def test_width_repack(self, kind, fresh_tables):
+    def test_width_repack(self, kind, fresh_tables, monkeypatch):
         """Each of the reads at 20, 60 and 220 needs wider digits than the
-        table has; every entry, at whatever width it was packed, still
-        matches."""
+        table has, so each widens the frontier pair once; every entry, at
+        whatever width it was packed, still matches."""
+        widened, widths = [], []
+        rewidth = schur._rewidth
+
+        def spy(value, w, to):
+            if to > w:
+                widened.append((w, to))
+            return rewidth(value, w, to)
+
+        monkeypatch.setattr(schur, "_rewidth", spy)
         for k in (20, 60, 220):
             _read(kind, k)
-        widths = [w for _a, _b, w in _table(kind)._checkpoints]
+            widths.append(_table(kind)._w)
         assert len(set(widths)) == 3 and widths == sorted(widths)  # three repacks
+        assert len(widened) == 6 and {to for _w, to in widened} == set(widths)
         expected = _oracle(kind, 220)
         indices = list(range(221))
         random.Random(0).shuffle(indices)
@@ -241,15 +251,18 @@ class TestRecurrenceTable:
 
     def test_ascending_reads_pack_each_checkpoint_at_its_own_width(self):
         """A repack widens the digits to what the request needs and no more,
-        so reading ``D_-2 .. D_220`` one by one packs every checkpoint at the
-        width of its own segment, and the frontier at the top's."""
+        so reading ``D_-2 .. D_220`` one by one, each at the top, leaves the
+        frontier at the top's width and no checkpoint; one read of ``D_0``
+        then keeps every checkpoint, each at the width of its own segment."""
         table = RecurrenceTable(0, 1)
         for k in range(-2, 221):
             table.entry(k)
-        assert len(table._checkpoints) == 220 // CHECKPOINT_SPACING + 1
-        for i, (_a, _b, w) in enumerate(table._checkpoints):
-            assert w == table._width_through(i * CHECKPOINT_SPACING), i
+        assert not table._checkpoints
         assert table._w == table._width_through(220)
+        assert table.entry(0) == _oracle("D", 220)[0]
+        assert sorted(table._checkpoints) == list(range(0, 221, CHECKPOINT_SPACING))
+        for j, (_a, _b, w) in table._checkpoints.items():
+            assert w == table._width_through(j), j
 
     def test_coefficient_sums_are_fibonacci(self, fresh_tables):
         """At ``q = 1`` the recurrence is Fibonacci's: ``D_k(1) = F_{k+2}``,
@@ -272,7 +285,7 @@ class TestRecurrenceTable:
         """Building to ``D_150`` leaves every entry packed; each read, at the
         top or below it, unpacks that one entry once and returns an equal
         value, and the table keeps nothing but the frontier pair and the
-        checkpoints, all packed integers."""
+        checkpoints the read below the top passed, all packed integers."""
         unpacked = []
 
         def counting_unpack(value, length, w):
@@ -285,6 +298,7 @@ class TestRecurrenceTable:
         top = schur_D(150)
         assert len(unpacked) == 1
         assert schur_D(150) == top and len(unpacked) == 2
+        assert not table._checkpoints
         low = schur_D(20)
         assert low == _oracle("D", 150)[20] and top == _oracle("D", 150)[150]
         assert len(unpacked) == 3
@@ -292,17 +306,18 @@ class TestRecurrenceTable:
         assert set(vars(table)) == {
             "_initial", "_shift", "_w", "_top", "_frontier", "_checkpoints", "_lock"
         }
-        assert len(table._checkpoints) == 150 // CHECKPOINT_SPACING + 1
-        held = [*table._frontier, *(x for pair in table._checkpoints for x in pair)]
+        assert sorted(table._checkpoints) == list(range(16, 150, CHECKPOINT_SPACING))
+        held = [*table._frontier, *(x for t in table._checkpoints.values() for x in t)]
         assert all(type(x) is int for x in held)
 
     @pytest.mark.parametrize("kind", ["D", "E", "S3"])
     def test_built_table_holds_checkpoints_and_frontier_only(self, kind, fresh_tables):
-        """Built through ``n``, a table holds a checkpoint pair per multiple of
-        the spacing ``s`` up to ``n`` and the frontier pair: at most
-        ``2 ceil((n+3)/s) + 2`` packed values, however many entries are read.
-        Each checkpoint's width holds the coefficient sum of every entry up to
-        the next checkpoint, which a read may walk to after later builds."""
+        """Built through ``n`` by reads at the top, a table holds the frontier
+        pair alone.  Reads below the top add at most one checkpoint pair per
+        multiple of the spacing ``s`` below ``n``: at most ``2 ceil((n+3)/s)
+        + 2`` packed values, however many entries are read.  Each
+        checkpoint's width holds the coefficient sum of every entry up to the
+        next checkpoint, which a read may walk to."""
         spacing = CHECKPOINT_SPACING
         assert spacing > 1  # fewer checkpoints than entries
         _read(kind, 0)
@@ -312,29 +327,95 @@ class TestRecurrenceTable:
         for n in [*range(0, 40), 150, 220]:
             _read(kind, n)
             table = _table(kind)
-            packed = 2 * len(table._checkpoints) + len(table._frontier)
-            assert len(table._checkpoints) == n // spacing + 1
-            assert packed <= 2 * ceil((n + 3) / spacing) + 2, n
-            for i, (_a, _b, w) in enumerate(table._checkpoints):
-                top_sum = sums[spacing * i + spacing - 1 + 2]
-                assert (top_sum.bit_length() + 8) // 8 <= w, (n, i)
+            assert not table._checkpoints and len(table._frontier) == 2, n
         for k in range(0, 221, 3):
             _read(kind, k)
+        packed = 2 * len(table._checkpoints) + len(table._frontier)
         assert len(table._checkpoints) == 220 // spacing + 1
+        assert packed <= 2 * ceil((220 + 3) / spacing) + 2
+        for j, (_a, _b, w) in table._checkpoints.items():
+            assert j % spacing == 0 and 0 <= j < 220, j
+            top_sum = sums[j + spacing - 1 + 2]
+            assert (top_sum.bit_length() + 8) // 8 <= w, j
         assert len(table._frontier) == 2
+
+    def test_reads_at_the_top_hold_the_frontier_only(self, fresh_tables):
+        """A fresh table read at its top keeps the frontier pair and no
+        checkpoint: ``D``, ``E`` and ``Schur_n`` at shift 8 through 220, ``D``
+        and ``E`` read by ``wronskian``, and ``D`` through 400, whose
+        checkpoints every 16 entries would hold about 26 MB beside a 1.5 MB
+        top entry."""
+        for kind in ("D", "E", "S8"):
+            _read(kind, 220)
+            table = _table(kind)
+            assert table._top == 220 and not table._checkpoints, kind
+        fresh_tables()
+        wronskian(120)  # reads D_119, D_120, then E_119, E_120
+        assert not _table("D")._checkpoints and not _table("E")._checkpoints
+        table = RecurrenceTable(0, 1)
+        tracemalloc.start()
+        try:
+            value, _w = table.packed(400)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        top = (value.bit_length() + 7) // 8
+        held = sum((x.bit_length() + 7) // 8 for x in table._frontier)
+        assert not table._checkpoints and held <= 2 * top
+        assert retained < 3 * top, (retained, top)
+
+    def test_reads_below_the_top_keep_the_checkpoints_they_pass(
+        self, fresh_tables, monkeypatch
+    ):
+        """A read walking down keeps every checkpoint it passes and walks on
+        to the checkpoint at or below it only when that one is not held; a
+        read next to held checkpoints keeps nothing.  Entries match the
+        oracle throughout."""
+        spacing = CHECKPOINT_SPACING
+        table = RecurrenceTable(0, 1, 3)
+        table.packed(220)
+        walks = []
+        walk = RecurrenceTable._walk
+
+        def spy(self, a, b, j, k, w):
+            walks.append((j, k))
+            return walk(self, a, b, j, k, w)
+
+        monkeypatch.setattr(RecurrenceTable, "_walk", spy)
+        expected = _oracle("S3", 220)
+        steps = []
+        for k, held in [
+            (100, range(96, 220, spacing)),  # down from the top, on to 96
+            (90, range(80, 220, spacing)),  # down from 96, on to 80
+            (93, range(80, 220, spacing)),  # down from 96; 80 is held
+            (99, range(80, 220, spacing)),  # up from 96
+            (5, range(0, 220, spacing)),  # down from 80, on to 0
+        ]:
+            walks.clear()
+            assert table.entry(k) == expected[k], k
+            assert sorted(table._checkpoints) == list(held), k
+            steps.append(sum(abs(j - i) for j, i in walks))
+        assert steps == [220 - 96, 96 - 80, 96 - 93, 99 - 96, 80]
+        for j, (_a, _b, w) in table._checkpoints.items():
+            assert w == table._width_through(j), j
 
     @pytest.mark.parametrize("kind", ["D", "E", "S8"])
     def test_reads_walk_at_most_half_the_spacing(self, kind, fresh_tables, monkeypatch):
-        """Built to 220, a table rebuilds each entry from the nearest pair it
-        holds: up from the checkpoint at or below it, down from the checkpoint
-        above it or down from the frontier.  All three occur, none takes more
-        than half the spacing in steps, and the entries next to every
-        checkpoint and the frontier match the oracle."""
+        """Built to 220, a table read once at 0 keeps every checkpoint, each
+        at its own segment's width, and then rebuilds each entry from the
+        nearest pair it holds: up from the checkpoint at or below it, down
+        from the checkpoint above it or down from the frontier.  All three
+        occur, none takes more than half the spacing in steps, and the
+        entries next to every checkpoint and the frontier match the oracle."""
         half = CHECKPOINT_SPACING // 2
         _read(kind, 220)
         table = _table(kind)
         top, checkpoints = table._top, range(0, 221, CHECKPOINT_SPACING)
         assert top % CHECKPOINT_SPACING  # the frontier is no checkpoint
+        _read(kind, 0)
+        assert sorted(table._checkpoints) == list(checkpoints)
+        for j, (_a, _b, w) in table._checkpoints.items():
+            assert w == table._width_through(j), j
         walks = []
         walk = RecurrenceTable._walk
 
@@ -352,6 +433,7 @@ class TestRecurrenceTable:
             assert _read(kind, k) == expected[k], (kind, k)
         assert len(walks) == len(edges) + len(rest)
         assert max(abs(k - j) for j, k in walks) <= half
+        assert sorted(table._checkpoints) == list(checkpoints)
         up = {j for j, k in walks if k > j}
         down = {j for j, k in walks if k < j}
         assert up and up <= set(checkpoints)
@@ -391,9 +473,11 @@ class TestPackedProducts:
 
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
     def test_wronskian_matches_laurent_arithmetic(self, built, fresh_tables, splits):
-        """Built to 300 first, the tables' digits are wider than the half-width
-        digits of any product below ``m = 120``, and every split narrows; read
-        fresh in ascending order, they are narrower, and every split widens."""
+        """Built to 300 first, the tables are read below their tops, from
+        checkpoints packed at their own segments' widths: wider than the
+        half-width digits of some products below ``m = 120``, whose splits
+        narrow, and narrower than others'.  Read fresh in ascending order, at
+        the frontier's width, they are narrower, and every split widens."""
         expected = _laurent_wronskians(120)
         fresh_tables()
         if built:
@@ -403,7 +487,8 @@ class TestPackedProducts:
             assert wronskian(m) == expected[m], m
             if m == 0:
                 splits.clear()  # the constant D_{-1} is kept at one byte
-        assert {to < w for w, to in splits if to != w} == {bool(built)}
+        narrowed = {to < w for w, to in splits if to != w}
+        assert narrowed == ({True, False} if built else {False})
 
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
     def test_cross_of_any_entries_matches_laurent_arithmetic(self, built):
@@ -557,13 +642,15 @@ class TestPackedProducts:
 
     def test_repeated_products_retain_nothing(self, fresh_tables):
         """After a warm-up like the long-lived library use, 50 products over
-        entries not read before hold on to less than 1 MB."""
+        entries not read before hold on to less than 1 MB.  The warm-up reads
+        every table down to the lowest entry measured, as a first round does,
+        so the checkpoints that first reads below a top keep are in place."""
         schur_D(200)
         schur_E(200)
         for m in range(40, 71, 2):
             wronskian(m)
         for m in (20, 30, 40):
-            for n in range(60, 141, 16):
+            for n in range(140, 59, -16):
                 decompose(n, m)
         calls = [(wronskian, (m,)) for m in range(41, 69, 2)]
         calls += [(decompose, (n, m)) for m in (20, 30, 40) for n in range(62, 140, 7)]

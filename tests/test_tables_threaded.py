@@ -98,6 +98,30 @@ def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypa
         assert got == serial
 
 
+def test_first_reads_below_a_built_top_keep_each_checkpoint_once():
+    """Eight threads make their first reads below the top of a table built to
+    160, each in its own order.  Each checkpoint is stored once, the first
+    pair kept at it stays, and the checkpoints and entries equal a serial
+    run's."""
+    serial = RecurrenceTable(0, 1, 3)
+    serial.packed(160)
+    expected = {("entry", k): serial.entry(k) for k in range(161)}
+    table = RecurrenceTable(0, 1, 3)
+    table.packed(160)
+    stores: list[int] = []
+
+    class Checkpoints(dict):
+        def __setitem__(self, j, pair):  # called under the table's lock
+            stores.append(j)
+            super().__setitem__(j, pair)
+
+    table._checkpoints = Checkpoints()
+    for got in _run_threads([(table.entry, (k,)) for k in range(161)]):
+        assert got == expected
+    assert sorted(stores) == list(range(0, 160, CHECKPOINT_SPACING))
+    assert table._checkpoints == serial._checkpoints
+
+
 def test_reads_below_a_moving_top_match_a_serial_run(monkeypatch):
     """One thread extends a fresh table from 0 to 220 in steps of 5 while three
     others read the four entries below each top they see; it takes each step
