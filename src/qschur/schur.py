@@ -20,7 +20,8 @@ import enum
 import threading
 from math import comb
 
-from .series import LaurentPoly, _digits, _unpack, _width, monomial
+from . import packed
+from .series import LaurentPoly, monomial
 
 __all__ = [
     "TooLargeError",
@@ -74,7 +75,7 @@ class RecurrenceTable:
     """``X_k = X_{k-1} + q^(k+shift) X_{k-2}`` from constants ``X_{-2}, X_{-1}``.
 
     Each entry is built as one big integer, its coefficients packed as the
-    ``w``-byte digits of :func:`series._pack`, so a step is one shift and
+    ``w``-byte digits of :mod:`qschur.packed`, so a step is one shift and
     one add on integers: ``b + (a << 8*w*(k+shift))``.  No coefficient is
     negative, so none exceeds the coefficient sum ``S_k``, which follows the
     same recurrence at ``q = 1``; ``w`` for every entry through a target
@@ -134,7 +135,7 @@ class RecurrenceTable:
 
     def entry(self, k: int) -> LaurentPoly:
         """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget."""
-        return _poly(*self.packed(k))
+        return LaurentPoly(0, packed.decode(*self.packed(k)))
 
     def _sum(self, k: int) -> int:
         """``S_k = X_k(1)``, which bounds every coefficient of ``X_k``: the sum
@@ -161,13 +162,14 @@ class RecurrenceTable:
             s2, s1 = s1, s1 + s2
             l2, l1 = l1, max(l1, k + shift + l2 if l2 else 0)
             total += l1
-            if total * _width(s1) > TABLE_BUDGET_BYTES:
+            if total * packed.width(s1) > TABLE_BUDGET_BYTES:
                 break
-        return total * _width(s1)
+        return total * packed.width(s1)
 
     def _width_through(self, n: int) -> int:
         """``w`` for every entry up to the checkpoint after ``n``."""
-        return _width(self._sum(n - n % CHECKPOINT_SPACING + CHECKPOINT_SPACING - 1))
+        top = n - n % CHECKPOINT_SPACING + CHECKPOINT_SPACING - 1
+        return packed.width(self._sum(top))
 
     def _walk(self, a: int, b: int, j: int, k: int, w: int) -> tuple[int, int]:
         """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, up or down to
@@ -194,7 +196,7 @@ class RecurrenceTable:
             j = stop
             if stop % spacing == 0:
                 to = self._width_through(stop)
-                a, b, w = _rewidth(a, w, to), _rewidth(b, w, to), to
+                a, b, w = packed.rewidth(a, w, to), packed.rewidth(b, w, to), to
                 kept.append((stop, (a, b, w)))
             if stop == k:
                 value = b, w
@@ -205,13 +207,14 @@ class RecurrenceTable:
         return value
 
     def _extend(self, n: int) -> None:
-        """Walk the frontier up to ``n``; caller holds the lock."""
+        """Repack the frontier at the width every entry through ``n`` needs
+        (:func:`packed.rewidth` keeps it when that is its width) and walk it
+        up to ``n``; caller holds the lock."""
         _check_budget(self.footprint(n), f"a recurrence table through index {n}")
         w = self._width_through(n)
-        if w > self._w:
-            self._frontier = tuple(_rewidth(x, self._w, w) for x in self._frontier)
-            self._w = w
-        self._frontier = self._walk(*self._frontier, self._top, n, self._w)
+        a, b = (packed.rewidth(x, self._w, w) for x in self._frontier)
+        self._frontier = self._walk(a, b, self._top, n, w)
+        self._w = w
         self._top = n
 
 
@@ -253,36 +256,6 @@ def schur_E(m: int) -> LaurentPoly:
     return schur_polynomial(SchurKind.E, m)
 
 
-def _bytes(value: int | bytes, w: int) -> bytes:
-    """A packed entry's ``w``-byte digits as little-endian bytes; bytes pass
-    through, so an entry converted once is not converted again."""
-    if isinstance(value, bytes):
-        return value
-    return value.to_bytes(_digits(value, w) * w, "little")
-
-
-def _restride(value: int | bytes, w: int, to: int, step: int = 1) -> list[int]:
-    """A packed entry, nonnegative ``w``-byte digits as an integer or as
-    :func:`_bytes`, cut into ``step`` packed values at ``to`` bytes per digit
-    by a strided byte copy: the ``r``-th holds digits ``r, r + step, r + 2
-    step, ...``.  Narrowing keeps the low ``to`` bytes of each digit, so
-    every digit must fit them."""
-    src = _bytes(value, w)
-    n = len(src) // w
-    parts = []
-    for r in range(step):
-        out = bytearray(len(range(r, n, step)) * to)
-        for i in range(min(w, to)):
-            out[i::to] = src[r * w + i :: step * w]
-        parts.append(int.from_bytes(out, "little"))
-    return parts
-
-
-def _rewidth(value: int, w: int, to: int) -> int:
-    """A packed entry repacked at ``to`` bytes per digit (:func:`_restride`)."""
-    return value if w == to else _restride(value, w, to)[0]
-
-
 #: Limbs (30-bit digits) below which CPython multiplies integers by the
 #: schoolbook method; above, by Karatsuba's.
 KARATSUBA_CUTOFF = 70
@@ -293,35 +266,15 @@ KARATSUBA_CUTOFF = 70
 COPY_COST = 2.5
 
 #: A table entry as :func:`_read` returns it.
-_Entry = tuple[int, int, int]
+_Entry = tuple[bytes, int, int]
 
 
 def _read(table: RecurrenceTable, k: int) -> _Entry:
-    """``(value, w, S_k)``: entry ``k`` packed as the ``w``-byte digits of
-    ``value``, none of which exceeds the coefficient sum ``S_k``."""
-    return (*table.packed(k), table._sum(k))
-
-
-def _at_two_points(value: int | bytes, w: int, bound: int, h: int) -> tuple[int, int]:
-    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A`` packed at ``w`` bytes
-    (an integer or its :func:`_bytes`), no digit above ``bound``: ``E +- X
-    O``, ``E`` and ``O`` the even and odd digits evaluated at ``X^2``.
-
-    A digit takes ``size = _width(bound)`` bytes.  When ``2h >= size``, ``E``
-    and ``O`` are the even and odd digits copied to ``2h`` bytes each.  At a
-    narrower ``2h`` the digits overlap, so ``E`` is the sum over ``r < L =
-    ceil(size / 2h)`` of the even digits ``i = r mod L`` at ``2hL`` bytes,
-    shifted by ``16 h r`` bits, and ``O`` likewise.  One strided byte copy at
-    step ``2L`` gives all ``2L`` of them.
-    """
-    step = -(-_width(bound) // (2 * h))
-    parts = _restride(value, w, 2 * h * step, 2 * step)
-    even, odd = parts[-2:]
-    for r in range(step - 2, -1, -1):
-        even = (even << 16 * h) + parts[2 * r]
-        odd = (odd << 16 * h) + parts[2 * r + 1]
-    odd <<= 8 * h
-    return even + odd, even - odd
+    """``(src, w, S_k)``: entry ``k``'s ``w``-byte digits as the bytes of
+    :func:`packed.to_bytes`, none of which exceeds the coefficient sum
+    ``S_k``."""
+    value, w = table.packed(k)
+    return packed.to_bytes(value, w), w, table._sum(k)
 
 
 def _half_width(a: _Entry, b: _Entry, c: _Entry, d: _Entry, bound: int = 0) -> int:
@@ -333,7 +286,7 @@ def _half_width(a: _Entry, b: _Entry, c: _Entry, d: _Entry, bound: int = 0) -> i
     lies in ``0..S(A) S(B)``, and of the difference within ``max(S(A) S(B),
     S(C) S(D))`` in magnitude.
     """
-    return (_width(max(a[2] * b[2], c[2] * d[2], bound)) + 1) // 2
+    return (packed.width(max(a[2] * b[2], c[2] * d[2], bound)) + 1) // 2
 
 
 def _packed_cross(
@@ -343,7 +296,7 @@ def _packed_cross(
     ``X = 2^(8h)`` and at ``-X``: ``(plus, minus)``.
 
     This is Harvey's two-point Kronecker substitution: each operand is
-    evaluated at both points by :func:`_at_two_points`, and four multiplies
+    evaluated at both points by :func:`packed.at_two_points`, and four multiplies
     at half the one-point width give both values (a product with a zero
     factor is skipped).  At ``h`` from :func:`_half_width` the even and odd
     coefficients of the result are the balanced ``2h``-byte digits of
@@ -352,7 +305,7 @@ def _packed_cross(
     plus = minus = 0
     for sign, x, y in ((1, a, b), (-1, c, d)):
         if x[0] and y[0]:
-            (xp, xm), (yp, ym) = _at_two_points(*x, h), _at_two_points(*y, h)
+            (xp, xm), (yp, ym) = (packed.at_two_points(*v, h) for v in (x, y))
             plus, minus = plus + sign * xp * yp, minus + sign * xm * ym
     return plus, minus
 
@@ -379,7 +332,7 @@ def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]
         if low < 1:
             break
         candidates.append([low + i + (i >= k - extra) for i in range(k)])
-    sizes = [(_digits(v, w), w, _width(top)) for v, w, top in (a, b, c, d, s)]
+    sizes = [(len(src) // w, w, packed.width(top)) for src, w, top in (a, b, c, d, s)]
     return min(candidates, key=lambda radices: sum(_cost(t, sizes) for t in radices))
 
 
@@ -401,26 +354,6 @@ def _cost(t: int, sizes: list[tuple[int, int, int]]) -> float:
     return total
 
 
-def _poly(value: int, w: int, min_exp: int = 0) -> LaurentPoly:
-    """The polynomial whose balanced ``w``-byte digits ``value`` holds; one
-    digit more than the magnitude's, since a top digit may borrow."""
-    return LaurentPoly(min_exp, _unpack(value, _digits(abs(value), w) + 1, w))
-
-
-def _poly_at_two_points(plus: int, minus: int, h: int, min_exp: int = 0) -> LaurentPoly:
-    """The polynomial ``P`` with ``plus = P(X)`` and ``minus = P(-X)``, ``X =
-    2^(8h)``, every coefficient inside the balanced ``2h``-byte range: its
-    even and odd halves unpacked from :func:`_packed_cross`'s two values and
-    interleaved."""
-    even, odd = (
-        _unpack(v, _digits(abs(v), 2 * h) + 1, 2 * h)
-        for v in ((plus + minus) >> 1, (plus - minus) >> (8 * h + 1))
-    )
-    coeffs = [0] * (2 * max(len(even), len(odd)))
-    coeffs[: 2 * len(even) : 2], coeffs[1 : 2 * len(odd) : 2] = even, odd
-    return LaurentPoly(min_exp, coeffs)
-
-
 def wronskian(m: int) -> LaurentPoly:
     """``D_{m-1} E_m - D_m E_{m-1}``, computed from the packed table entries.
 
@@ -435,7 +368,7 @@ def wronskian(m: int) -> LaurentPoly:
     e_low, e_m = _read(e, m - 1), _read(e, m)
     cross = [d_low, e_m, d_m, e_low]
     h = _half_width(*cross)
-    return _poly_at_two_points(*_packed_cross(*cross, h), h)
+    return LaurentPoly(0, packed.from_two_points(*_packed_cross(*cross, h), h))
 
 
 def _decomposition(n: int, m: int) -> LaurentPoly | None:
@@ -459,7 +392,7 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
 
     ``E_{m-2}`` and ``D_{m-2}`` are read before ``D_{n+m}`` and ``E_{n+m}``,
     so tables first read here are read at their tops and keep no checkpoint.
-    Each entry is converted to bytes once for every radix.  Only on a
+    :func:`_read` converts each entry to bytes once for every radix.  Only on a
     mismatch is the sum unpacked, from its values at the pair of
     :func:`_half_width`.
     """
@@ -468,12 +401,11 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
     cross = [e_low, _read(d, n + m), d_low, _read(e, n + m)]
     lhs = _read(schur_n, n)
     radices = _radices(*cross, lhs)
-    *cross, lhs = [(_bytes(v, w), w, s) for v, w, s in (*cross, lhs)]
     shift, sign = comb(m, 2), -1 if m % 2 else 1
     flip = (-1) ** shift  # (-Y)^shift = flip Y^shift
     for t in radices:
         plus, minus = _packed_cross(*cross, t)
-        lhs_plus, lhs_minus = _at_two_points(*lhs, t)
+        lhs_plus, lhs_minus = packed.at_two_points(*lhs, t)
         up = 8 * t * shift
         if plus != sign * lhs_plus << up or minus != flip * sign * lhs_minus << up:
             break
@@ -481,7 +413,7 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
         return None
     h = _half_width(*cross, lhs[2])
     plus, minus = _packed_cross(*cross, h)
-    return _poly_at_two_points(sign * plus, sign * minus, h, -shift)
+    return LaurentPoly(-shift, packed.from_two_points(sign * plus, sign * minus, h))
 
 
 def lambda_coeff(m: int) -> LaurentPoly:

@@ -15,10 +15,11 @@ variable q is never evaluated at a number; it exists only through exponents.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add
+
+from . import packed
 
 __all__ = [
     "ONE",
@@ -91,61 +92,17 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Convolution by Kronecker substitution with balanced ``w``-byte digits.
 
     Each operand is evaluated at ``2^(8w)`` as one big integer, the two are
-    multiplied once, and the product's digits are read back.  A product
-    coefficient is a sum of at most ``min(len(a), len(b))`` terms, each below
-    ``2^(bits(a) + bits(b))`` in magnitude, and :func:`_width` sizes ``w`` for
-    that bound.  Digits are stored biased by ``half = 2^(8w-1)`` so every one
-    packs and unpacks as an unsigned ``w``-byte field with
-    ``int.to_bytes``/``int.from_bytes``.
+    multiplied once, and the product's digits are read back with the codec
+    of :mod:`qschur.packed`.  A product coefficient is a sum of at most
+    ``min(len(a), len(b))`` terms, each below ``2^(bits(a) + bits(b))`` in
+    magnitude, and :func:`packed.width` sizes ``w`` for that bound.
     """
-    w = _width(min(len(a), len(b)) << (_max_bits(a) + _max_bits(b)))
-    half = 1 << (8 * w - 1)
-    return _unpack(_pack(a, w, half) * _pack(b, w, half), len(a) + len(b) - 1, w)
+    w = packed.width(min(len(a), len(b)) << (_max_bits(a) + _max_bits(b)))
+    return packed.unpack(packed.pack(a, w) * packed.pack(b, w), len(a) + len(b) - 1, w)
 
 
 def _max_bits(coeffs: Sequence[int]) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
-
-
-def _width(total: int) -> int:
-    """Bytes per balanced digit for coefficients of magnitude at most ``total``:
-    a sign bit more."""
-    return (total.bit_length() + 8) // 8
-
-
-def _digits(value: int, w: int) -> int:
-    """Digits of a nonnegative packed value whose top digit is not zero."""
-    return -(-value.bit_length() // (8 * w))
-
-
-def _bias(n: int, w: int) -> int:
-    """``half`` in each of ``n`` digits of ``w`` bytes."""
-    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-
-
-def _pack(coeffs: Sequence[int], w: int, half: int) -> int:
-    """``sum(c_i * 2^(8 w i))``, every ``|c_i| < half``."""
-    biased = b"".join(
-        map(int.to_bytes, map(add, coeffs, repeat(half)), repeat(w), repeat("little"))
-    )
-    return int.from_bytes(biased, "little") - _bias(len(coeffs), w)
-
-
-def _unpack(value: int, length: int, w: int) -> list[int]:
-    """The low ``length`` balanced ``w``-byte digits of ``value``; undoes :func:`_pack`.
-
-    Adding the bias to the low ``length`` digits and masking off the rest
-    leaves each digit as ``coefficient + half``, with no carry between them,
-    whatever digits ``value`` has above them.
-    """
-    size = length * w
-    digits = ((value + _bias(length, w)) & ((1 << (8 * size)) - 1)).to_bytes(
-        size, "little"
-    )
-    fields = re.findall(b".{%d}" % w, digits, re.DOTALL)  # the w-byte digits
-    return list(
-        map(sub, map(int.from_bytes, fields, repeat("little")), repeat(1 << (8 * w - 1)))
-    )
 
 
 class _Record:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qschur import identities, schur
+from qschur import identities, packed, schur
 
 
 @pytest.fixture
@@ -34,15 +34,15 @@ def fresh_products(monkeypatch):
 @pytest.fixture
 def splits(monkeypatch):
     """``(w, to)`` of every even/odd split of a product operand, its ``w``-byte
-    digits copied to ``to`` bytes (``schur._restride`` at step 2), made
+    digits copied to ``to`` bytes (``packed.restride`` at step 2), made
     during one test, in order."""
     calls = []
-    restride = schur._restride
+    restride = packed.restride
 
-    def spy(value, w, to, step=1):
+    def spy(src, w, to, step=1):
         if step == 2:
             calls.append((w, to))
-        return restride(value, w, to, step)
+        return restride(src, w, to, step)
 
-    monkeypatch.setattr(schur, "_restride", spy)
+    monkeypatch.setattr(packed, "restride", spy)
     return calls

@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from qschur import schur
+from qschur import packed, schur
 from qschur.determinant import (
     DIRECT_ORACLE_MAX_N,
     TooLargeError,
@@ -20,15 +20,7 @@ from qschur.determinant import (
 )
 from qschur.reports import compare_polys, compare_series
 from qschur.schur import RecurrenceTable, lambda_coeff, mu_coeff, schur_D, schur_E
-from qschur.series import (
-    ONE,
-    LaurentPoly,
-    Q,
-    _pack,
-    _width,
-    monomial,
-    poly_to_series,
-)
+from qschur.series import ONE, LaurentPoly, Q, monomial, poly_to_series
 
 from .oracles import partitions_max_part, sum_side_coefficients
 
@@ -322,11 +314,11 @@ class TestDecompose:
             counts.add(len(radices))
         assert {1, 2, 3} <= counts
         # S(Schur_n) carries M = 2^128 - 1 past the 127 bits of the products.
-        def entry(digits: int, bound: int) -> tuple[int, int, int]:
-            return 1 << 8 * 17 * (digits - 1), 17, bound
+        def entry(digits: int, bound: int) -> tuple[bytes, int, int]:
+            return packed.to_bytes(1 << 8 * 17 * (digits - 1), 17), 17, bound
 
         a, b, d = entry(400, 1), entry(8000, (1 << 127) - 1), entry(8000, 1)
-        radices = schur._radices(a, b, (0, 1, 0), d, entry(7000, 1 << 127))
+        radices = schur._radices(a, b, (b"", 1, 0), d, entry(7000, 1 << 127))
         assert len(radices) > 1
         assert prod((1 << 16 * t) - 1 for t in radices) > (1 << 128) - 1
 
@@ -341,8 +333,8 @@ class _FixedEntry:
     def packed(self, k: int) -> tuple[int, int]:
         if k != self._n:
             return self._table.packed(k)
-        w = _width(self._bound)
-        return _pack(self._poly.coeffs, w, 1 << (8 * w - 1)), w
+        w = packed.width(self._bound)
+        return packed.pack(self._poly.coeffs, w), w
 
     def entry(self, k: int) -> LaurentPoly:
         return self._poly if k == self._n else self._table.entry(k)

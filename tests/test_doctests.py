@@ -8,6 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
+import qschur.packed
 import qschur.series
 from qschur.cli import main
 
@@ -17,6 +18,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_series_doctests():
     result = doctest.testmod(qschur.series)
     assert result.failed == 0
+
+
+def test_packed_doctests():
+    result = doctest.testmod(qschur.packed)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_readme_examples():

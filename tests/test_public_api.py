@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import qschur
-from qschur import determinant, identities, reports, schur, series
+from qschur import determinant, identities, packed, reports, schur, series
 
 PUBLIC = {
     "DIRECT_ORACLE_MAX_N",
@@ -50,6 +50,13 @@ def test_public_name_set_is_pinned():
     assert len(PUBLIC) == 36
     assert len(qschur.__all__) == len(set(qschur.__all__)) == 36
     assert set(qschur.__all__) == PUBLIC
+
+
+def test_packed_digit_module_exports_nothing():
+    """The packed-digit format is internal: ``qschur.packed`` lists no name,
+    and the package's names are the pinned 36."""
+    assert packed.__all__ == []
+    assert set(qschur.__all__) == PUBLIC and "packed" not in qschur.__all__
 
 
 def test_exports_are_the_modules_lists():

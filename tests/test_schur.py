@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qschur
-from qschur import determinant, schur
+from qschur import determinant, packed, schur
 from qschur.determinant import decompose, schur_finite
 from qschur.cli import main
 from qschur.schur import (
@@ -29,7 +29,7 @@ from qschur.schur import (
     schur_polynomial,
     wronskian,
 )
-from qschur.series import ONE, LaurentPoly, Q, _pack, _unpack, monomial
+from qschur.series import ONE, LaurentPoly, Q, monomial
 
 from .oracles import recurrence_entries
 
@@ -230,14 +230,14 @@ class TestRecurrenceTable:
         table has, so each widens the frontier pair once; every entry, at
         whatever width it was packed, still matches."""
         widened, widths = [], []
-        rewidth = schur._rewidth
+        rewidth = packed.rewidth
 
         def spy(value, w, to):
             if to > w:
                 widened.append((w, to))
             return rewidth(value, w, to)
 
-        monkeypatch.setattr(schur, "_rewidth", spy)
+        monkeypatch.setattr(packed, "rewidth", spy)
         for k in (20, 60, 220):
             _read(kind, k)
             widths.append(_table(kind)._w)
@@ -286,15 +286,15 @@ class TestRecurrenceTable:
         top or below it, unpacks that one entry once and returns an equal
         value, and the table keeps nothing but the frontier pair and the
         checkpoints the read below the top passed, all packed integers."""
-        unpacked = []
+        unpacked, unpack = [], packed.unpack
 
         def counting_unpack(value, length, w):
             unpacked.append(length)
-            return _unpack(value, length, w)
+            return unpack(value, length, w)
 
         table = schur._table(0, 1)
         table.packed(150)
-        monkeypatch.setattr(schur, "_unpack", counting_unpack)
+        monkeypatch.setattr(packed, "unpack", counting_unpack)
         top = schur_D(150)
         assert len(unpacked) == 1
         assert schur_D(150) == top and len(unpacked) == 2
@@ -330,9 +330,9 @@ class TestRecurrenceTable:
             assert not table._checkpoints and len(table._frontier) == 2, n
         for k in range(0, 221, 3):
             _read(kind, k)
-        packed = 2 * len(table._checkpoints) + len(table._frontier)
+        held = 2 * len(table._checkpoints) + len(table._frontier)
         assert len(table._checkpoints) == 220 // spacing + 1
-        assert packed <= 2 * ceil((220 + 3) / spacing) + 2
+        assert held <= 2 * ceil((220 + 3) / spacing) + 2
         for j, (_a, _b, w) in table._checkpoints.items():
             assert j % spacing == 0 and 0 <= j < 220, j
             top_sum = sums[j + spacing - 1 + 2]
@@ -495,21 +495,22 @@ class TestPackedProducts:
         """``A B - C D`` over random entries of ``D``, ``E`` and a shifted
         table, whose coefficients, unlike a Wronskian's, are as large as the
         products': the width must hold them, not just the operands."""
-        plain, packed = (
+        plain, tables = (
             [RecurrenceTable(0, 1), RecurrenceTable(1, 0), RecurrenceTable(0, 1, 5)]
             for _ in range(2)
         )
-        for table in packed if built else ():
+        for table in tables if built else ():
             table.packed(built)
         rng = random.Random(built)
         for _ in range(60):
             reads = [(rng.randrange(3), rng.randint(-2, 120)) for _ in range(4)]
             a, b, c, d = (plain[t].entry(k) for t, k in reads)
-            entries = [schur._read(packed[t], k) for t, k in reads]
+            entries = [schur._read(tables[t], k) for t, k in reads]
             h = schur._half_width(*entries)
             plus, minus = schur._packed_cross(*entries, h)
             assert _two_point_values(a * b - c * d, h) == (plus, minus), reads
-            assert schur._poly_at_two_points(plus, minus, h) == a * b - c * d, reads
+            coeffs = packed.from_two_points(plus, minus, h)
+            assert LaurentPoly(0, coeffs) == a * b - c * d, reads
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even-count", "odd-count"])
     @pytest.mark.parametrize("wider", [False, True], ids=["narrowing", "widening"])
@@ -524,21 +525,44 @@ class TestPackedProducts:
         top = (1 << (8 * min(w, to) - 1)) - 1
         size = 2 * data.draw(st.integers(0, 20)) + parity
         digits = data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
-        even, odd = schur._restride(_pack(digits, w, 1 << (8 * w - 1)), w, to, 2)
-        assert even == _pack(digits[0::2], to, 1 << (8 * to - 1))
-        assert odd == _pack(digits[1::2], to, 1 << (8 * to - 1))
+        src = packed.to_bytes(packed.pack(digits, w), w)
+        even, odd = packed.restride(src, w, to, 2)
+        assert even == packed.pack(digits[0::2], to)
+        assert odd == packed.pack(digits[1::2], to)
         back = [0] * len(digits)
-        back[0::2] = _unpack(even, len(digits[0::2]), to)
-        back[1::2] = _unpack(odd, len(digits[1::2]), to)
+        back[0::2] = packed.unpack(even, len(digits[0::2]), to)
+        back[1::2] = packed.unpack(odd, len(digits[1::2]), to)
         assert back == digits
 
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even-count", "odd-count"])
+    @pytest.mark.parametrize("top_sign", [-1, 1], ids=["negative-top", "positive-top"])
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_two_point_decode(self, parity, top_sign, data):
+        """Signed coefficients inside the balanced ``2h``-byte range, the
+        limits ``+-(2^(16h-1) - 1)`` and zero included, come back exactly from
+        their values at ``+-2^(8h)`` as the direct sums give them; a negative
+        top coefficient borrows from the digit above it."""
+        h = data.draw(st.integers(1, 6))
+        limit = (1 << (16 * h - 1)) - 1
+        extremes = st.sampled_from([limit, -limit, 0])
+        coeff = st.one_of(extremes, st.integers(-limit, limit))
+        size = 2 * data.draw(st.integers(0, 15)) + parity
+        coeffs = data.draw(st.lists(coeff, min_size=size, max_size=size))
+        coeffs.append(top_sign * data.draw(st.integers(1, limit)))
+        plus, minus = _two_point_values(LaurentPoly(0, coeffs), h)
+        got = packed.from_two_points(plus, minus, h)
+        assert got[: len(coeffs)] == coeffs and not any(got[len(coeffs) :])
+        assert not any(packed.from_two_points(0, 0, h))
+
     def test_split_of_zero_and_a_single_digit(self):
-        assert schur._restride(0, 3, 4, 2) == [0, 0]
-        assert schur._restride(0x7F, 1, 2, 2) == [0x7F, 0]
-        assert schur._at_two_points(0x7F, 1, 0x7F, 1) == (0x7F, 0x7F)
+        assert packed.to_bytes(0, 3) == b""
+        assert packed.restride(b"", 3, 4, 2) == [0, 0]
+        assert packed.restride(b"\x7f", 1, 2, 2) == [0x7F, 0]
+        assert packed.at_two_points(b"\x7f", 1, 0x7F, 1) == (0x7F, 0x7F)
 
     def test_evaluation_against_direct_sums(self):
-        """``_at_two_points`` against ``sum(c (+-2^(8t))^i)`` for digits packed
+        """``packed.at_two_points`` against ``sum(c (+-2^(8t))^i)`` for digits packed
         at ``w`` bytes that take ``size`` of them, at ``2t`` narrower than,
         equal to and wider than ``size``, with ``2t`` dividing ``w`` and not;
         the zero operand, a single digit and odd and even counts included."""
@@ -549,14 +573,14 @@ class TestPackedProducts:
                 bound = (1 << (8 * size - 1)) - 1  # its width is size bytes
                 for count in range(6):
                     digits = [rng.randint(0, bound) for _ in range(count)]
-                    value = _pack(digits, w, 1 << (8 * w - 1))
+                    src = packed.to_bytes(packed.pack(digits, w), w)
                     for t in range(1, w + 2):
                         y = 1 << (8 * t)
                         expected = tuple(
                             sum(c * x**i for i, c in enumerate(digits))
                             for x in (y, -y)
                         )
-                        assert schur._at_two_points(value, w, bound, t) == expected
+                        assert packed.at_two_points(src, w, bound, t) == expected
                         seen.add(("digits", min(count, 2 + count % 2)))
                         seen.add(("2t vs size", (2 * t > size) - (2 * t < size)))
                         seen.add(("2t divides w", w % (2 * t) == 0))
@@ -594,10 +618,11 @@ class TestPackedProducts:
             h = schur._half_width(*entries)
             plus, minus = schur._packed_cross(*entries, h)
             sums = [t._sum(k) for t, k in four]
-            w = schur._width(max(sums[0] * sums[1], sums[2] * sums[3]))
+            w = packed.width(max(sums[0] * sums[1], sums[2] * sums[3]))
             widths.add(2 * h - w)
             assert _two_point_values(expected, h) == (plus, minus), four
-            assert schur._poly_at_two_points(plus, minus, h) == expected, four
+            coeffs = packed.from_two_points(plus, minus, h)
+            assert LaurentPoly(0, coeffs) == expected, four
             if not expected.is_zero():
                 zero_halves.add((plus + minus == 0, plus - minus == 0))
         assert widths == {0, 1}
@@ -610,21 +635,21 @@ class TestPackedProducts:
         included, read back from the packed value alone."""
         half = 1 << (8 * w - 1)
         coeffs = data.draw(st.lists(st.integers(1 - half, half - 1), max_size=30))
-        poly = schur._poly(_pack(coeffs, w, half), w, low)
+        poly = LaurentPoly(low, packed.decode(packed.pack(coeffs, w), w))
         assert poly == LaurentPoly(low, coeffs)
 
     def test_no_laurent_product_on_a_pass(self, fresh_tables, monkeypatch):
         """Nothing is multiplied as a ``LaurentPoly``: ``wronskian`` unpacks
         the even and the odd half of its result, once each, and a passing
         ``decompose`` unpacks nothing."""
-        unpacked = []
+        unpacked, unpack = [], packed.unpack
 
         def refuse(self, other):
             raise AssertionError("LaurentPoly product")
 
         def counting_unpack(value, length, w):
             unpacked.append(length)
-            return _unpack(value, length, w)
+            return unpack(value, length, w)
 
         cases = [(0, 0), (9, 1), (20, 2), (140, 40)]
         schur_D(180)
@@ -633,7 +658,7 @@ class TestPackedProducts:
             schur_finite(n, m)
         monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
         monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
-        monkeypatch.setattr(schur, "_unpack", counting_unpack)
+        monkeypatch.setattr(packed, "unpack", counting_unpack)
         assert wronskian(70) == LaurentPoly(comb(71, 2), (1,))
         assert len(unpacked) == 2
         for n, m in cases:
@@ -672,11 +697,11 @@ class TestPackedProducts:
         bytes, repack to ``to`` bytes (narrower or wider) and back."""
         top = (1 << (8 * min(w, to) - 1)) - 1
         digits = data.draw(st.lists(st.integers(0, top), max_size=40))
-        packed = _pack(digits, w, 1 << (8 * w - 1))
-        there = schur._rewidth(packed, w, to)
-        assert there == _pack(digits, to, 1 << (8 * to - 1))
-        assert _unpack(there, len(digits), to) == digits
-        assert schur._rewidth(there, to, w) == packed
+        value = packed.pack(digits, w)
+        there = packed.rewidth(value, w, to)
+        assert there == packed.pack(digits, to)
+        assert packed.unpack(there, len(digits), to) == digits
+        assert packed.rewidth(there, to, w) == value
 
 
 class TestTableBudget:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur import series
+from qschur import packed, series
 from qschur.determinant import schur_finite, schur_finite_direct
 from qschur.identities import rr_product_first
 from qschur.schur import lambda_coeff, mu_coeff, schur_D
@@ -17,10 +17,8 @@ from qschur.series import (
     QSeries,
     _convolve,
     _kronecker,
-    _pack,
     _schoolbook,
     _through,
-    _unpack,
     divide_one_minus_qk,
     monomial,
     poly_first_mismatch,
@@ -122,7 +120,7 @@ def codec_cases(draw):
         st.sampled_from([half - 1, 1 - half, 1, -1]),
         st.integers(1 - half, half - 1),
     )
-    return draw(st.lists(entry, max_size=40)), w, half
+    return draw(st.lists(entry, max_size=40)), w
 
 
 class TestPolyRingAxioms:
@@ -257,11 +255,11 @@ class TestDigitCodec:
     @settings(max_examples=300)
     @given(codec_cases(), st.data())
     def test_round_trip(self, case, data):
-        coeffs, w, half = case
-        packed = _pack(coeffs, w, half)
-        assert _unpack(packed, len(coeffs), w) == coeffs
+        coeffs, w = case
+        value = packed.pack(coeffs, w)
+        assert packed.unpack(value, len(coeffs), w) == coeffs
         low = data.draw(st.integers(min_value=0, max_value=len(coeffs)))
-        assert _unpack(packed, low, w) == coeffs[:low]
+        assert packed.unpack(value, low, w) == coeffs[:low]
 
 
 class TestSeriesArithmetic:

@@ -7,11 +7,10 @@ import sys
 import threading
 import time
 
-from qschur import schur
+from qschur import packed, schur
 from qschur.determinant import schur_finite
 from qschur.identities import rr_product_first, rr_product_second
 from qschur.schur import CHECKPOINT_SPACING, RecurrenceTable, schur_D, schur_E
-from qschur.series import _unpack
 
 # D, E and the shifts 1..11 (shift 0 is D) are 13 tables, more than the
 # registry keeps, so the threads also race on evicting and rebuilding them.
@@ -85,13 +84,13 @@ def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypa
         schur_finite(59, m)
     schur_D(89)
     schur_E(89)
-    unpacked = []
+    unpacked, unpack = [], packed.unpack
 
     def counting_unpack(value, length, w):
         unpacked.append(length)  # list.append is atomic
-        return _unpack(value, length, w)
+        return unpack(value, length, w)
 
-    monkeypatch.setattr(schur, "_unpack", counting_unpack)
+    monkeypatch.setattr(packed, "unpack", counting_unpack)
     results = _run_threads()
     assert len(unpacked) == len(results) * len(REQUESTS)
     for got in results:
