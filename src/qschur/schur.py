@@ -296,9 +296,9 @@ def _packed_cross(
     ``X = 2^(8h)`` and at ``-X``: ``(plus, minus)``.
 
     This is Harvey's two-point Kronecker substitution: each operand is
-    evaluated at both points by :func:`packed.at_two_points`, and four multiplies
-    at half the one-point width give both values (a product with a zero
-    factor is skipped).  At ``h`` from :func:`_half_width` the even and odd
+    evaluated at both points by :func:`packed.at_two_points`, and four
+    multiplies at half the one-point width give both values (a product with
+    a zero factor is skipped).  At ``h`` from :func:`_half_width` the even and odd
     coefficients of the result are the balanced ``2h``-byte digits of
     ``(plus + minus) / 2`` and ``(plus - minus) / (2X)``.
     """
