@@ -20,7 +20,7 @@ from .determinant import (
 )
 from .identities import rr_product_first, rr_product_second, verify_gis
 from .reports import VerificationReport, compare_polys
-from .schur import SchurKind, TooLargeError, schur_polynomial
+from .schur import TooLargeError, schur_D, schur_E
 from .series import LaurentPoly, QSeries
 
 DEFAULT_VERIFY_ORDER = 200
@@ -92,7 +92,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_schur_poly(args: argparse.Namespace) -> int:
     if args.index < -2:
         return _usage_error("--index must be >= -2")
-    poly = schur_polynomial(SchurKind[args.kind], args.index)
+    poly = (schur_D if args.kind == "D" else schur_E)(args.index)
     if args.format == "json":
         print(canonical_json(poly_document(f"{args.kind}_{args.index}", poly)))
     else:

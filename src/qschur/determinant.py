@@ -34,7 +34,8 @@ from .series import (
     monomial,
     poly_to_series,
 )
-from .schur import TooLargeError, _decomposition, _table
+from .schur import TooLargeError, _decomposition, _table, lambda_coeff, mu_coeff
+from .schur import schur_D, schur_E
 
 __all__ = [
     "DIRECT_ORACLE_MAX_N",
@@ -165,14 +166,17 @@ def decompose(n: int, m: int) -> VerificationReport:
 
     The combination must come out to a genuine polynomial (no negative
     exponents survive) equal to the recursion-built determinant.  It is
-    compared with the table entries packed (``schur._decomposition``); only a
-    mismatch unpacks both sides, for the report.
+    compared with the table entries packed (``schur._decomposition``), which
+    unpacks nothing.  Only a mismatch is reported from unpacked entries: both
+    sides are built again in :class:`LaurentPoly` arithmetic, which shares
+    no code with the packed check, and compared coefficient by coefficient.
     """
     if n < 0 or m < 0:
         raise ValueError(f"decompose requires n, m >= 0, got ({n}, {m})")
-    rhs, params = _decomposition(n, m), {"n": n, "m": m}
-    if rhs is None:
+    params = {"n": n, "m": m}
+    if _decomposition(n, m):
         return VerificationReport("decomposition", params)
+    rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
     # Equality with lhs (a polynomial with constant term 1) already implies no
     # negative exponent survives; any stray q^(-k) term shows up as a mismatch.
     return compare_polys("decomposition", params, schur_finite(n, m), rhs)

@@ -75,6 +75,27 @@ def decode(value: int, w: int) -> list[int]:
     return unpack(value, digits(abs(value), w) + 1, w)
 
 
+def decode_bytes(value: int, w: int, top: int) -> int:
+    """A bound on the bytes :func:`decode` of ``value`` holds at its peak,
+    from integers alone, for nonnegative digits none above ``top``, as a
+    recurrence-table entry's are.
+
+    :func:`unpack` holds, for each of its ``n`` digits: a byte of ``value``
+    and of the biased fields for each of the ``w``; one ``w``-byte ``bytes``
+    object of the split (33 bytes of header, and CPython's allocator rounds
+    a small object up to 16 bytes); a slot of the split list and of the
+    result list (8 bytes, and a list grown by appending over-allocates by
+    about an eighth); and the coefficient, free when it is a cached small
+    int (``0 <= c <= 256``) and otherwise at most ``28 + 4 ceil(b / 30)``
+    bytes for ``b`` bits, rounded up.  Less is held at the other steps: at
+    most ``5 w`` bytes per digit while biasing, before the split, and ``24 +
+    w`` and the coefficient while a :class:`~qschur.series.LaurentPoly` is
+    made from the list.
+    """
+    big = 0 if top <= 256 else 44 + -(-2 * top.bit_length() // 15)
+    return (digits(abs(value), w) + 1) * (66 + 3 * w + big)
+
+
 def to_bytes(value: int, w: int) -> bytes:
     """A packed entry's nonnegative ``w``-byte digits as little-endian bytes."""
     return value.to_bytes(digits(value, w) * w, "little")

@@ -16,7 +16,6 @@ decomposition coefficients ``lambda`` and ``mu`` possible.
 
 from __future__ import annotations
 
-import enum
 import threading
 from math import comb
 
@@ -25,8 +24,6 @@ from .series import LaurentPoly, monomial
 
 __all__ = [
     "TooLargeError",
-    "SchurKind",
-    "schur_polynomial",
     "schur_D",
     "schur_E",
     "wronskian",
@@ -35,22 +32,19 @@ __all__ = [
 ]
 
 
-class SchurKind(enum.Enum):
-    """Which of the two initial-value choices a Schur polynomial uses."""
-
-    D = "D"
-    E = "E"
-
-
 class TooLargeError(ValueError):
-    """A request past a fixed size bound: a recurrence table or a
-    Rogers-Ramanujan product's coefficient list over
-    :data:`TABLE_BUDGET_BYTES`, or the direct determinant oracle past its cap."""
+    """A request past a fixed size bound: a recurrence table, the unpacking
+    of one of its entries or a Rogers-Ramanujan product's coefficient list
+    over :data:`TABLE_BUDGET_BYTES`, or the direct determinant oracle past
+    its cap."""
 
 
 #: Bytes of packed entries one recurrence table may hold.  A request whose
 #: table would need more is refused with :class:`TooLargeError` before any
 #: entry is built; ``D_400`` needs about 189 MB, ``D_1000`` about 7.3 GB.
+#: Unpacking one entry is refused over it too, before it starts: ``Schur_1``
+#: at shift ``m`` unpacks to ``m + 3`` coefficients at about 72 bytes each,
+#: about 36 times its packed bytes.
 TABLE_BUDGET_BYTES = 1 << 28
 
 
@@ -134,8 +128,13 @@ class RecurrenceTable:
         return self._walk_down(a, b, j, k, bottom, w)
 
     def entry(self, k: int) -> LaurentPoly:
-        """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget."""
-        return LaurentPoly(0, packed.decode(*self.packed(k)))
+        """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget,
+        the table's or, before anything is unpacked, the decoded entry's
+        (:func:`packed.decode_bytes`)."""
+        value, w = self.packed(k)
+        size = packed.decode_bytes(value, w, self._sum(k))
+        _check_budget(size, f"unpacking entry {k} of a recurrence table")
+        return LaurentPoly(0, packed.decode(value, w))
 
     def _sum(self, k: int) -> int:
         """``S_k = X_k(1)``, which bounds every coefficient of ``X_k``: the sum
@@ -238,22 +237,15 @@ def _table(x_minus2: int, x_minus1: int, shift: int = 0) -> RecurrenceTable:
     return table
 
 
-_INITIAL = {SchurKind.D: (0, 1), SchurKind.E: (1, 0)}  # X_{-2}, X_{-1}
-
-
-def schur_polynomial(kind: SchurKind, m: int) -> LaurentPoly:
-    """The Schur polynomial of the given family at index ``m >= -2``."""
-    return _table(*_INITIAL[kind]).entry(m)
-
-
 def schur_D(m: int) -> LaurentPoly:
-    """``D_m``: recursion ``D_m = D_{m-1} + q^m D_{m-2}`` from ``D_0=1, D_1=1+q``."""
-    return schur_polynomial(SchurKind.D, m)
+    """``D_m`` for ``m >= -2``: recursion ``D_m = D_{m-1} + q^m D_{m-2}`` from
+    ``D_0=1, D_1=1+q``."""
+    return _table(0, 1).entry(m)
 
 
 def schur_E(m: int) -> LaurentPoly:
-    """``E_m``: same recursion from ``E_0 = E_1 = 1``."""
-    return schur_polynomial(SchurKind.E, m)
+    """``E_m`` for ``m >= -2``: same recursion from ``E_0 = E_1 = 1``."""
+    return _table(1, 0).entry(m)
 
 
 #: Limbs (30-bit digits) below which CPython multiplies integers by the
@@ -371,9 +363,9 @@ def wronskian(m: int) -> LaurentPoly:
     return LaurentPoly(0, packed.from_two_points(*_packed_cross(*cross, h), h))
 
 
-def _decomposition(n: int, m: int) -> LaurentPoly | None:
-    """``lambda(m) D_{n+m} + mu(m) E_{n+m}``, or ``None`` when it equals
-    ``Schur_n`` for shift ``m``.
+def _decomposition(n: int, m: int) -> bool:
+    """Whether ``lambda(m) D_{n+m} + mu(m) E_{n+m}`` equals ``Schur_n`` for
+    shift ``m``, decided on the packed table entries.
 
     By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
     ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, so the check is that ``f``, that
@@ -392,9 +384,10 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
 
     ``E_{m-2}`` and ``D_{m-2}`` are read before ``D_{n+m}`` and ``E_{n+m}``,
     so tables first read here are read at their tops and keep no checkpoint.
-    :func:`_read` converts each entry to bytes once for every radix.  Only on a
-    mismatch is the sum unpacked, from its values at the pair of
-    :func:`_half_width`.
+    :func:`_read` converts each entry to bytes once for every radix.  Nothing
+    is unpacked, on a pass or a mismatch: the report of a mismatch is built
+    by :func:`~qschur.determinant.decompose` in :class:`LaurentPoly`
+    arithmetic, which shares no code with this check.
     """
     schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
     e_low, d_low = _read(e, m - 2), _read(d, m - 2)
@@ -408,12 +401,8 @@ def _decomposition(n: int, m: int) -> LaurentPoly | None:
         lhs_plus, lhs_minus = packed.at_two_points(*lhs, t)
         up = 8 * t * shift
         if plus != sign * lhs_plus << up or minus != flip * sign * lhs_minus << up:
-            break
-    else:
-        return None
-    h = _half_width(*cross, lhs[2])
-    plus, minus = _packed_cross(*cross, h)
-    return LaurentPoly(-shift, packed.from_two_points(sign * plus, sign * minus, h))
+            return False
+    return True
 
 
 def lambda_coeff(m: int) -> LaurentPoly:

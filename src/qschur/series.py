@@ -25,19 +25,13 @@ __all__ = [
     "ONE",
     "Q",
     "LaurentPoly",
-    "NotInvertibleError",
     "OrderTooHighError",
     "QSeries",
     "monomial",
     "poly_first_mismatch",
     "poly_to_series",
     "series_first_mismatch",
-    "series_inverse",
 ]
-
-
-class NotInvertibleError(ArithmeticError):
-    """Series inversion requires the lowest known coefficient to be +1 or -1."""
 
 
 class OrderTooHighError(ValueError):
@@ -313,7 +307,9 @@ class QSeries(_Record):
     Every sum and product is the exact :class:`LaurentPoly` result of the
     known coefficients, cut at the highest order where it is still exact: the
     lower order for a sum, ``order + p.min_exp`` for a product with a
-    polynomial ``p``.
+    polynomial ``p`` (an integer is the constant polynomial), which is known
+    at every order, and ``min(order + b.min_exp, b.order + min_exp)`` for a
+    product with a series ``b``.  ``*`` is the one product for all three.
     """
 
     __slots__ = ("order", "min_exp", "coeffs")
@@ -376,7 +372,7 @@ class QSeries(_Record):
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
         if isinstance(other, LaurentPoly):
-            return self.times_poly(other)
+            return _product(self, other, self.order + other.min_exp)
         if not isinstance(other, QSeries):
             return NotImplemented
         # Tightest sound truncation: a term q^(i+j) is exact only when both
@@ -386,14 +382,6 @@ class QSeries(_Record):
         )
 
     __rmul__ = __mul__
-
-    def times_poly(self, p: LaurentPoly) -> QSeries:
-        """Multiply by an exact polynomial.
-
-        Unlike series-series multiplication, ``p`` is known at every order, so
-        the result is exact up to ``order + p.min_exp``.
-        """
-        return _product(self, p, self.order + p.min_exp)
 
     def truncated(self, order: int) -> QSeries:
         """Restrict knowledge to a lower order (never extends)."""
@@ -439,36 +427,6 @@ def _product(a: QSeries, b: LaurentPoly | QSeries, order: int) -> QSeries:
     return poly_to_series(
         _through(a, order - b.min_exp) * _through(b, order - a.min_exp), order
     )
-
-
-def series_inverse(a: QSeries) -> QSeries:
-    """Multiplicative inverse of a series whose lowest coefficient is a unit.
-
-    Writes ``a = u q^s (1 + higher terms)`` with ``u = +-1`` and solves the
-    convolution triangularly.  The result has ``min_exp = -s`` and
-    ``order = a.order - 2 s``, so ``a * inverse(a) == 1`` up to their common
-    product order.
-    """
-    if a.is_zero():
-        raise NotInvertibleError("the zero series has no inverse")
-    unit = a.coeffs[0]
-    if unit not in (1, -1):
-        raise NotInvertibleError(
-            f"lowest coefficient {unit} at q^{a.min_exp} is not a unit"
-        )
-    s = a.min_exp
-    rel = a.coeffs  # relative coefficients, rel[0] = unit
-    n = len(rel)  # a.order - s + 1 slots
-    inv = [0] * n
-    inv[0] = unit
-    for k in range(1, n):
-        acc = 0
-        for j in range(1, k + 1):
-            c = rel[j]
-            if c:
-                acc += c * inv[k - j]
-        inv[k] = -unit * acc
-    return QSeries(a.order - 2 * s, -s, inv)
 
 
 def divide_one_minus_qk(a: QSeries, k: int) -> QSeries:

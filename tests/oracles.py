@@ -11,6 +11,10 @@ builds a Rogers-Ramanujan product factor by factor, one division by
 assembles the product side of the identity from the Casoratian form, with
 no ``lambda`` or ``mu``.  :func:`series_sum` and :func:`series_product` add
 and multiply truncated series term by term, with no coefficient windows.
+:func:`series_inverse` inverts a series by solving the convolution
+triangularly; it is the oracle for the library's one division,
+``divide_one_minus_qk``, a stride-``k`` prefix sum, and refuses a series
+whose lowest coefficient is not a unit with :class:`NotInvertibleError`.
 """
 
 from __future__ import annotations
@@ -71,6 +75,40 @@ def casoratian_gis_rhs(m: int, order: int) -> QSeries:
     second = rr_product_second(order + shift) * schur_D(m - 2)
     sign = -1 if m % 2 else 1
     return ((first - second) * monomial(sign, -shift)).truncated(order)
+
+
+class NotInvertibleError(ArithmeticError):
+    """Series inversion requires the lowest known coefficient to be +1 or -1."""
+
+
+def series_inverse(a: QSeries) -> QSeries:
+    """Multiplicative inverse of a series whose lowest coefficient is a unit.
+
+    Writes ``a = u q^s (1 + higher terms)`` with ``u = +-1`` and solves the
+    convolution triangularly.  The result has ``min_exp = -s`` and
+    ``order = a.order - 2 s``, so ``a * inverse(a) == 1`` up to their common
+    product order.
+    """
+    if a.is_zero():
+        raise NotInvertibleError("the zero series has no inverse")
+    unit = a.coeffs[0]
+    if unit not in (1, -1):
+        raise NotInvertibleError(
+            f"lowest coefficient {unit} at q^{a.min_exp} is not a unit"
+        )
+    s = a.min_exp
+    rel = a.coeffs  # relative coefficients, rel[0] = unit
+    n = len(rel)  # a.order - s + 1 slots
+    inv = [0] * n
+    inv[0] = unit
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, k + 1):
+            c = rel[j]
+            if c:
+                acc += c * inv[k - j]
+        inv[k] = -unit * acc
+    return QSeries(a.order - 2 * s, -s, inv)
 
 
 def _terms(x: LaurentPoly | QSeries) -> dict[int, int]:

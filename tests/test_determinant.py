@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from qschur import packed, schur
+from qschur import determinant, packed, schur
 from qschur.determinant import (
     DIRECT_ORACLE_MAX_N,
     TooLargeError,
@@ -165,7 +165,7 @@ class TestCoefficientRecurrence:
             monomial(1, 5), order
         )
         lhs = poly_to_series(ONE - Q, order) * lhs_series
-        rhs = schur_coefficient(0, 0, order).times_poly(monomial(1, 1))
+        rhs = schur_coefficient(0, 0, order) * monomial(1, 1)
         report = compare_series(
             "perturbed", {"n": 1, "m": 0}, lhs, rhs, order
         )
@@ -287,6 +287,30 @@ class TestDecompose:
         report = decompose(n, m)
         assert not report.passed
         assert report == expected
+
+    @pytest.mark.parametrize("off", [0, 1], ids=["right", "wrong-shift"])
+    @pytest.mark.parametrize("n, m", [(4, 1), (30, 5), (140, 40)])
+    def test_failure_report_shares_no_code_with_the_packed_check(
+        self, n, m, off, fresh_tables, monkeypatch
+    ):
+        """The packed check answers only pass or fail.  Forced to fail, it is
+        followed by neither a packed product nor a two-point decode: the
+        report is ``compare_polys`` of ``Schur_n`` against ``lambda D + mu E``
+        in Laurent arithmetic, a pass when the tables are right."""
+        wrong = RecurrenceTable(0, 1, m + 1)
+        if off:
+            schur._tables[(0, 1, m)] = wrong
+        assert determinant._decomposition(n, m) is not off
+        calls = []
+        for module, name in ((schur, "_packed_cross"), (packed, "from_two_points")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(determinant, "_decomposition", lambda n, m: False)
+        report = decompose(n, m)
+        assert calls == []
+        lhs = wrong.entry(n) if off else schur_finite(n, m)
+        rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
+        assert report == compare_polys("decomposition", {"n": n, "m": m}, lhs, rhs)
+        assert report.passed is not off
 
     def test_radices_are_distinct_and_cover_the_bound(self, fresh_tables):
         """Over the grid above and the ``decompose`` and ``determinant

@@ -20,13 +20,11 @@ from qschur.schur import (
     CHECKPOINT_SPACING,
     TABLE_BUDGET_BYTES,
     RecurrenceTable,
-    SchurKind,
     TooLargeError,
     lambda_coeff,
     mu_coeff,
     schur_D,
     schur_E,
-    schur_polynomial,
     wronskian,
 )
 from qschur.series import ONE, LaurentPoly, Q, monomial
@@ -57,13 +55,9 @@ class TestInitialValues:
         assert schur_E(-1).is_zero()
         assert schur_E(-2) == ONE
 
-    def test_kind_dispatch(self):
-        assert schur_polynomial(SchurKind.D, 2) == schur_D(2)
-        assert schur_polynomial(SchurKind.E, 2) == schur_E(2)
-
     def test_index_below_extension_rejected(self):
         with pytest.raises(IndexError, match="must be >= -2, got -3"):
-            schur_polynomial(SchurKind.D, -3)
+            schur_D(-3)
 
     def test_bare_table_rejects_index_below_extension(self):
         table = RecurrenceTable(0, 1)
@@ -754,6 +748,62 @@ class TestTableBudget:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert "index 437" in err
+
+    @pytest.mark.parametrize(
+        "initial, shift, k",
+        [
+            ((0, 1), 50000, 1),
+            ((0, 1), 20000, 3),
+            ((0, 1), 0, 250),
+            ((1, 0), 0, 250),
+            ((0, 1), 1000, 60),
+        ],
+    )
+    def test_decode_bound_covers_the_unpacking_peak(self, initial, shift, k):
+        """:func:`packed.decode_bytes` bounds the bytes ``entry`` allocates at
+        its peak (``tracemalloc``, which counts the bytes requested, so the
+        allocator's rounding is slack), for narrow and wide digits and for
+        coefficients that are cached small ints and that are not; and it is
+        within a factor 3 of that peak."""
+        table = RecurrenceTable(*initial, shift)
+        value, w = table.packed(k)
+        bound = packed.decode_bytes(value, w, table._sum(k))
+        tracemalloc.start()
+        try:
+            table.entry(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < 3 * peak
+
+    def test_decode_bound_from_integers(self):
+        """A digit count one above the magnitude's, and per digit ``66 + 3w``
+        bytes plus the coefficient's when it is not a cached small int."""
+        assert packed.decode_bytes(0, 1, 0) == 69
+        assert packed.decode_bytes(packed.pack([1] * 9, 2), 2, 256) == 10 * 72
+        assert packed.decode_bytes(1 << 8 * 3 * 4, 3, 257) == 6 * (75 + 44 + 2)
+        big = (1 << 300) - 1
+        assert packed.decode_bytes(1, 40, big) == 2 * (66 + 120 + 44 + 40)
+
+    def test_unpacking_over_budget_refused_before_any_unpack(
+        self, capsys, fresh_tables, monkeypatch
+    ):
+        """``Schur_1`` at shift ``m`` packs small but unpacks to ``m + 3``
+        coefficients at 72 bytes each: ``m = 10^6`` fits the budget, ``4 *
+        10^6`` does not and is refused before anything is unpacked, with
+        exit 2 and nothing on stdout."""
+        for m, fits in ((10**6, True), (4 * 10**6, False)):
+            table = RecurrenceTable(0, 1, m)
+            value, w = table.packed(1)
+            size = packed.decode_bytes(value, w, table._sum(1))
+            assert size == (m + 3) * 72
+            assert (size <= TABLE_BUDGET_BYTES) is fits
+        unpacked = []
+        monkeypatch.setattr(packed, "unpack", lambda *args: unpacked.append(args))
+        code = main(["determinant", "--n", "1", "--m", str(4 * 10**6)])
+        out, err = capsys.readouterr()
+        assert (code, out, unpacked) == (2, "", [])
+        assert "unpacking entry 1 of a recurrence table" in err
 
     def test_error_is_reexported(self):
         assert qschur.TooLargeError is TooLargeError

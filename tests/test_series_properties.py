@@ -24,10 +24,9 @@ from qschur.series import (
     poly_first_mismatch,
     poly_to_series,
     series_first_mismatch,
-    series_inverse,
 )
 
-from .oracles import series_product, series_sum
+from .oracles import series_inverse, series_product, series_sum
 
 # Small polynomials keep shrinking fast while still exercising carries,
 # cancellation, and negative exponents.
@@ -241,7 +240,7 @@ class TestDivideOneMinusQk:
     @given(nonnegative_series, strides)
     def test_round_trip(self, s, k):
         quotient = divide_one_minus_qk(s, k)
-        assert quotient.times_poly(ONE - monomial(1, k)) == s
+        assert quotient * (ONE - monomial(1, k)) == s
 
     @pytest.mark.parametrize("k", [0, -1, -7])
     def test_nonpositive_stride_rejected(self, k):
@@ -298,7 +297,7 @@ class TestSeriesArithmetic:
         monkeypatch.setattr(series, "_through", cut_spy)
         for operation in (
             lambda: long_series * short_series,
-            lambda: poly_to_series(ONE, 10).times_poly(deep),
+            lambda: poly_to_series(ONE, 10) * deep,
             lambda: high + short_series,
             lambda: QSeries.zero(10) * long_series,
         ):
