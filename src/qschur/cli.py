@@ -3,7 +3,10 @@
 Exit codes: 0 all checks passed, 1 at least one mathematical mismatch,
 2 usage error.  Results go to stdout; diagnostics and usage errors go to
 stderr.  JSON output is one object per line with a fixed key order, so
-parsing and re-serializing reproduces the bytes exactly.
+parsing and re-serializing reproduces the bytes exactly.  A polynomial or
+series is written :data:`CHUNK_DIGITS` coefficients at a time, a table
+entry's read straight from its packed digits, and the bytes are those of
+rendering it whole.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 
+from . import packed
 from .determinant import (
     DIRECT_ORACLE_MAX_N,
     decompose,
@@ -20,12 +25,16 @@ from .determinant import (
 )
 from .identities import rr_product_first, rr_product_second, verify_gis
 from .reports import VerificationReport, compare_polys
-from .schur import TooLargeError, schur_D, schur_E
-from .series import LaurentPoly, QSeries
+from .schur import TooLargeError, _table
+from .series import _sum_notation
 
 DEFAULT_VERIFY_ORDER = 200
 DEFAULT_M_MIN = 0
 DEFAULT_M_MAX = 10
+
+#: Coefficients rendered at a time: output is written in pieces of at most
+#: this many coefficients, so a polynomial or series is never held as text.
+CHUNK_DIGITS = 2048
 
 
 def canonical_json(obj: dict) -> str:
@@ -33,29 +42,67 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def series_document(label: str, min_exp: int, order: int, coeffs) -> dict:
-    """JSON document for a coefficient window; coefficients as decimal strings."""
-    return {
-        "label": label,
-        "min_exp": min_exp,
-        "order": order,
-        "coeffs": [str(c) for c in coeffs],
-    }
+def _document(
+    label: str, min_exp: int, order: int, chunks: Iterable[Sequence[int]]
+) -> Iterator[str]:
+    """:func:`canonical_json` of ``{"label", "min_exp", "order", "coeffs"}``, a
+    coefficient window in non-empty ``chunks`` with each coefficient as a
+    decimal string, in pieces: the head, then one piece per chunk."""
+    head = {"label": label, "min_exp": min_exp, "order": order, "coeffs": []}
+    yield canonical_json(head)[:-2]  # up to the opening bracket of "coeffs"
+    sep = '"'
+    for chunk in chunks:
+        yield sep + '","'.join(map(str, chunk)) + '"'
+        sep = ',"'
+    yield "]}"
 
 
-def poly_document(label: str, p: LaurentPoly) -> dict:
-    return series_document(label, p.min_exp, p.degree, p.coeffs)
+def _table_rows(
+    min_exp: int, order: int, chunks: Iterable[Sequence[int]]
+) -> Iterator[str]:
+    """Aligned exponent/coefficient rows of a window, ascending exponents, one
+    piece per non-empty chunk; the widest label is at an end of the window."""
+    width = max(len(f"q^{min_exp}"), len(f"q^{order}"))
+    sep = ""
+    for chunk in chunks:
+        rows = (f"{f'q^{e}':<{width}}  {c}" for e, c in enumerate(chunk, min_exp))
+        yield sep + "\n".join(rows)
+        min_exp += len(chunk)
+        sep = "\n"
 
 
-def qseries_document(label: str, s: QSeries) -> dict:
-    return series_document(label, s.min_exp, s.order, s.coeffs)
+def _slices(coeffs: Sequence[int]) -> Iterator[Sequence[int]]:
+    """``coeffs`` in chunks of :data:`CHUNK_DIGITS`."""
+    size = CHUNK_DIGITS
+    return (coeffs[i : i + size] for i in range(0, len(coeffs), size))
 
 
-def format_series_table(s: QSeries) -> str:
-    """Aligned exponent/coefficient table, ascending exponents."""
-    labels = [f"q^{e}" for e in range(s.min_exp, s.order + 1)]
-    width = max(map(len, labels), default=0)
-    return "\n".join(f"{lbl:<{width}}  {c}" for lbl, c in zip(labels, s.coeffs))
+def _entry_pieces(label: str, entry: tuple[int, int], fmt: str) -> Iterator[str]:
+    """Output pieces for a recurrence-table entry ``(value, w)``, its digits
+    decoded a chunk at a time.  The digits of an entry are nonnegative and
+    its constant term is 1 unless it is zero, so its window is ``q^0``
+    through its top digit, and the borrow digit above that is dropped."""
+    value, w = entry
+    count = packed.digits(value, w)
+    chunks = _take(packed.decode_chunks(value, w, CHUNK_DIGITS), count)
+    if fmt == "json":
+        return _document(label, 0, count - 1, chunks)
+    return _sum_notation(0, chunks)
+
+
+def _take(chunks: Iterable[list[int]], count: int) -> Iterator[list[int]]:
+    """The first ``count`` digits of a chunk stream, in its chunks."""
+    for chunk in chunks:
+        if count <= 0:
+            return
+        yield chunk[:count]
+        count -= len(chunk)
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces of one output line to stdout as they come."""
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
 
 
 def _usage_error(message: str) -> int:
@@ -92,11 +139,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_schur_poly(args: argparse.Namespace) -> int:
     if args.index < -2:
         return _usage_error("--index must be >= -2")
-    poly = (schur_D if args.kind == "D" else schur_E)(args.index)
-    if args.format == "json":
-        print(canonical_json(poly_document(f"{args.kind}_{args.index}", poly)))
-    else:
-        print(poly)
+    table = _table(0, 1) if args.kind == "D" else _table(1, 0)
+    entry = table.decodable(args.index)
+    _write(_entry_pieces(f"{args.kind}_{args.index}", entry, args.format))
     return 0
 
 
@@ -108,10 +153,11 @@ def cmd_product(args: argparse.Namespace) -> int:
         if args.which == "rr1"
         else rr_product_second(args.order)
     )
+    chunks = _slices(series.coeffs)
     if args.format == "json":
-        print(canonical_json(qseries_document(args.which, series)))
+        _write(_document(args.which, series.min_exp, series.order, chunks))
     else:
-        print(format_series_table(series))
+        _write(_table_rows(series.min_exp, series.order, chunks))
     return 0
 
 
@@ -120,39 +166,36 @@ def cmd_determinant(args: argparse.Namespace) -> int:
         return _usage_error("--n must be >= 0")
     if args.m < 0:
         return _usage_error("--m must be >= 0")
-    # The decomposition reads the deepest tables, so it runs before anything
-    # is printed.
-    poly = schur_finite(args.n, args.m)
-    decomposition = decompose(args.n, args.m) if args.check else None
+    # Every result is computed before the first write (see main).
+    entry = _table(0, 1, args.m).decodable(args.n)  # Schur_n, as schur_finite
+    reports: list[VerificationReport] = []
+    oracle = args.n <= DIRECT_ORACLE_MAX_N
+    if args.check:
+        decomposition = decompose(args.n, args.m)
+        if oracle:
+            poly = schur_finite(args.n, args.m)
+            direct = schur_finite_direct(args.n, args.m)
+            params = {"n": args.n, "m": args.m}
+            reports.append(compare_polys("oracle", params, poly, direct))
+        reports.append(decomposition)
+
     label = f"Schur_{args.n}(m={args.m})"
-    if args.format == "json":
-        print(canonical_json(poly_document(label, poly)))
-    else:
-        print(poly)
+    _write(_entry_pieces(label, entry, args.format))
     if not args.check:
         return 0
-
-    checks: list[VerificationReport] = []
-    oracle_status = "skipped"
-    if args.n <= DIRECT_ORACLE_MAX_N:
-        direct = schur_finite_direct(args.n, args.m)
-        oracle = compare_polys("oracle", {"n": args.n, "m": args.m}, poly, direct)
-        checks.append(oracle)
-        oracle_status = oracle.status
-    else:
+    if not oracle:
         print(
             f"notice: direct cofactor oracle skipped for n={args.n} > "
             f"{DIRECT_ORACLE_MAX_N}",
             file=sys.stderr,
         )
-    checks.append(decomposition)
-
     if args.format == "json":
-        for report in checks:
+        for report in reports:
             print(canonical_json(report.to_json_obj()))
     else:
+        oracle_status = reports[0].status if oracle else "skipped"
         print(f"oracle: {oracle_status}, decompose: {decomposition.status}")
-    return 1 if any(not r.passed for r in checks) else 0
+    return 1 if any(not r.passed for r in reports) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

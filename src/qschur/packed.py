@@ -17,10 +17,12 @@ True
 [3, -1, 2]
 >>> decode(value, 1)
 [3, -1, 2, 0]
+>>> list(decode_chunks(value, 1, 3))
+[[3, -1, 2], [0]]
 """
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import repeat
 from operator import add, sub
 
@@ -53,26 +55,52 @@ def pack(coeffs: Sequence[int], w: int) -> int:
 
 
 def unpack(value: int, length: int, w: int) -> list[int]:
-    """The low ``length`` balanced ``w``-byte digits of ``value``; undoes :func:`pack`.
+    """The low ``length`` balanced ``w``-byte digits of ``value``; undoes
+    :func:`pack`."""
+    return _split(_fields(value, length, w), w)
+
+
+def _fields(value: int, length: int, w: int) -> bytes:
+    """The low ``length`` digits of ``value`` as unsigned ``w``-byte fields.
 
     Adding the bias to the low ``length`` digits and masking off the rest
     leaves each digit as ``coefficient + 2^(8w-1)``, with no carry between
-    them, whatever digits ``value`` has above them.
+    them, whatever digits ``value`` has above them.  When ``value`` has no
+    digit above them, as in :func:`decode`, there is nothing to mask.
     """
     size = length * w
-    fields = ((value + _bias(length, w)) & ((1 << (8 * size)) - 1)).to_bytes(
-        size, "little"
-    )
+    fields = value + _bias(length, w)
+    if fields >> (8 * size):  # value has digits above the low length
+        fields &= (1 << (8 * size)) - 1
+    return fields.to_bytes(size, "little")
+
+
+def _split(fields: bytes | memoryview, w: int) -> list[int]:
+    """The balanced digits held in :func:`_fields`' unsigned fields."""
     split = re.findall(b".{%d}" % w, fields, re.DOTALL)  # the w-byte digits
     return list(
         map(sub, map(int.from_bytes, split, repeat("little")), repeat(1 << (8 * w - 1)))
     )
 
 
+def _length(value: int, w: int) -> int:
+    """Digits :func:`decode` gives: one more than the magnitude's, since a top
+    digit may borrow."""
+    return digits(abs(value), w) + 1
+
+
 def decode(value: int, w: int) -> list[int]:
-    """Every balanced ``w``-byte digit of ``value``: one digit more than the
-    magnitude's, since a top digit may borrow."""
-    return unpack(value, digits(abs(value), w) + 1, w)
+    """Every balanced ``w``-byte digit of ``value`` (:func:`_length`)."""
+    return unpack(value, _length(value, w), w)
+
+
+def decode_chunks(value: int, w: int, size: int) -> Iterator[list[int]]:
+    """:func:`decode` of ``value``, ``size`` digits at a time: its fields are
+    made once, and each chunk is split from a view of them, so no more than
+    one chunk of digits is held at once."""
+    fields = memoryview(_fields(value, _length(value, w), w))
+    step = size * w
+    return (_split(fields[i : i + step], w) for i in range(0, len(fields), step))
 
 
 def decode_bytes(value: int, w: int, top: int) -> int:
@@ -93,7 +121,7 @@ def decode_bytes(value: int, w: int, top: int) -> int:
     made from the list.
     """
     big = 0 if top <= 256 else 44 + -(-2 * top.bit_length() // 15)
-    return (digits(abs(value), w) + 1) * (66 + 3 * w + big)
+    return _length(value, w) * (66 + 3 * w + big)
 
 
 def to_bytes(value: int, w: int) -> bytes:

@@ -128,13 +128,18 @@ class RecurrenceTable:
         return self._walk_down(a, b, j, k, bottom, w)
 
     def entry(self, k: int) -> LaurentPoly:
-        """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget,
-        the table's or, before anything is unpacked, the decoded entry's
+        """``X_k`` for ``k >= -2`` (:meth:`decodable`)."""
+        return LaurentPoly(0, packed.decode(*self.decodable(k)))
+
+    def decodable(self, k: int) -> tuple[int, int]:
+        """:meth:`packed` of ``k``, once :func:`packed.decode` of it is known to
+        fit the budget; raises :class:`TooLargeError` over budget, the
+        table's or, before anything is unpacked, the decoded entry's
         (:func:`packed.decode_bytes`)."""
         value, w = self.packed(k)
         size = packed.decode_bytes(value, w, self._sum(k))
         _check_budget(size, f"unpacking entry {k} of a recurrence table")
-        return LaurentPoly(0, packed.decode(value, w))
+        return value, w
 
     def _sum(self, k: int) -> int:
         """``S_k = X_k(1)``, which bounds every coefficient of ``X_k``: the sum

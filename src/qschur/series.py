@@ -15,7 +15,7 @@ variable q is never evaluated at a number; it exists only through exponents.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, repeat
 from operator import add
 
@@ -233,30 +233,37 @@ class LaurentPoly(_Record):
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return _format_terms(self.min_exp, self.coeffs)
+        return "".join(_sum_notation(self.min_exp, (self.coeffs,)))
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
 
 
-def _format_terms(min_exp: int, coeffs: Sequence[int]) -> str:
-    """Sum notation, ascending exponents: ``1 + q + 2q^2``, ``q^-1 - q``."""
-    parts: list[str] = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        e = min_exp + i
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+def _sum_notation(min_exp: int, chunks: Iterable[Sequence[int]]) -> Iterator[str]:
+    """Sum notation, ascending exponents, for the coefficients of ``q^min_exp``
+    upward read from ``chunks``: one string per chunk, which joined read
+    ``1 + q + 2q^2`` or ``q^-1 - q``, then ``0`` if every coefficient was zero."""
+    first = True
+    for chunk in chunks:
+        parts: list[str] = []
+        for e, c in enumerate(chunk, min_exp):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                var = "q" if e == 1 else f"q^{e}"
+                body = var if mag == 1 else f"{mag}{var}"
+            if first:
+                parts.append(body if c > 0 else f"-{body}")
+                first = False
+            else:
+                parts.append(f" + {body}" if c > 0 else f" - {body}")
+        min_exp += len(chunk)
+        yield "".join(parts)
+    if first:
+        yield "0"
 
 
 #: The formal variable q as a polynomial, for building expressions in code.
@@ -399,7 +406,7 @@ class QSeries(_Record):
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = _format_terms(self.min_exp, self.coeffs)
+        terms = "".join(_sum_notation(self.min_exp, (self.coeffs,)))
         tail = f"O(q^{self.order + 1})"
         return tail if self.is_zero() else f"{terms} + {tail}"
 

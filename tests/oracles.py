@@ -15,6 +15,9 @@ and multiply truncated series term by term, with no coefficient windows.
 triangularly; it is the oracle for the library's one division,
 ``divide_one_minus_qk``, a stride-``k`` prefix sum, and refuses a series
 whose lowest coefficient is not a unit with :class:`NotInvertibleError`.
+:func:`poly_document`, :func:`qseries_document` and
+:func:`format_series_table` render a whole value at once, as the CLI once
+did; they are the byte oracles of its chunked writers.
 """
 
 from __future__ import annotations
@@ -26,6 +29,31 @@ from math import comb
 from qschur.identities import rr_product_first, rr_product_second
 from qschur.schur import schur_D, schur_E
 from qschur.series import ONE, LaurentPoly, QSeries, divide_one_minus_qk, monomial
+
+
+def series_document(label: str, min_exp: int, order: int, coeffs) -> dict:
+    """JSON document for a coefficient window; coefficients as decimal strings."""
+    return {
+        "label": label,
+        "min_exp": min_exp,
+        "order": order,
+        "coeffs": [str(c) for c in coeffs],
+    }
+
+
+def poly_document(label: str, p: LaurentPoly) -> dict:
+    return series_document(label, p.min_exp, p.degree, p.coeffs)
+
+
+def qseries_document(label: str, s: QSeries) -> dict:
+    return series_document(label, s.min_exp, s.order, s.coeffs)
+
+
+def format_series_table(s: QSeries) -> str:
+    """Aligned exponent/coefficient table, ascending exponents."""
+    labels = [f"q^{e}" for e in range(s.min_exp, s.order + 1)]
+    width = max(map(len, labels), default=0)
+    return "\n".join(f"{lbl:<{width}}  {c}" for lbl, c in zip(labels, s.coeffs))
 
 
 def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:

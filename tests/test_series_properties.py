@@ -260,6 +260,14 @@ class TestDigitCodec:
         low = data.draw(st.integers(min_value=0, max_value=len(coeffs)))
         assert packed.unpack(value, low, w) == coeffs[:low]
 
+    def test_low_digits_below_a_negative_top(self):
+        """The low digits of a value whose digits above them sum to a
+        negative number, so that the biased low digits are negative too,
+        and of one whose digits above them do not show in the low ones."""
+        assert packed.unpack(packed.pack([1, -1], 1), 1, 1) == [1]
+        assert packed.unpack(packed.pack([-5, 3, -1], 2), 2, 2) == [-5, 3]
+        assert packed.unpack(packed.pack([0, 0, 1], 1), 2, 1) == [0, 0]
+
 
 class TestSeriesArithmetic:
     """Each operation against the term-by-term oracle; ``QSeries`` equality
