@@ -81,22 +81,13 @@ def _entry_pieces(label: str, entry: tuple[int, int], fmt: str) -> Iterator[str]
     """Output pieces for a recurrence-table entry ``(value, w)``, its digits
     decoded a chunk at a time.  The digits of an entry are nonnegative and
     its constant term is 1 unless it is zero, so its window is ``q^0``
-    through its top digit, and the borrow digit above that is dropped."""
+    through its top digit."""
     value, w = entry
     count = packed.digits(value, w)
-    chunks = _take(packed.decode_chunks(value, w, CHUNK_DIGITS), count)
+    chunks = packed.decode_chunks(value, count, w, CHUNK_DIGITS)
     if fmt == "json":
         return _document(label, 0, count - 1, chunks)
     return _sum_notation(0, chunks)
-
-
-def _take(chunks: Iterable[list[int]], count: int) -> Iterator[list[int]]:
-    """The first ``count`` digits of a chunk stream, in its chunks."""
-    for chunk in chunks:
-        if count <= 0:
-            return
-        yield chunk[:count]
-        count -= len(chunk)
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -191,7 +182,7 @@ def cmd_determinant(args: argparse.Namespace) -> int:
         )
     if args.format == "json":
         for report in reports:
-            print(canonical_json(report.to_json_obj()))
+            _emit_report(report, args.format)
     else:
         oracle_status = reports[0].status if oracle else "skipped"
         print(f"oracle: {oracle_status}, decompose: {decomposition.status}")

@@ -140,20 +140,17 @@ def verify_schur_limits(M: int) -> CheckSuiteResult:
     if M < 2:
         raise ValueError(f"verify_schur_limits requires M >= 2, got {M}")
     order = M - 1
-    reports = (
+    reports = tuple(
         compare_series(
-            "schur-limit-D",
+            f"schur-limit-{kind}",
             {"M": M, "order": order},
-            poly_to_series(schur_D(M), order),
-            rr_product_first(order),
+            poly_to_series(schur(M), order),
+            product(order),
             order,
-        ),
-        compare_series(
-            "schur-limit-E",
-            {"M": M, "order": order},
-            poly_to_series(schur_E(M), order),
-            rr_product_second(order),
-            order,
-        ),
+        )
+        for kind, schur, product in (
+            ("D", schur_D, rr_product_first),
+            ("E", schur_E, rr_product_second),
+        )
     )
     return CheckSuiteResult(reports=reports)

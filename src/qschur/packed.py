@@ -17,8 +17,8 @@ True
 [3, -1, 2]
 >>> decode(value, 1)
 [3, -1, 2, 0]
->>> list(decode_chunks(value, 1, 3))
-[[3, -1, 2], [0]]
+>>> list(decode_chunks(value, 3, 1, 2))
+[[3, -1], [2]]
 """
 
 import re
@@ -94,11 +94,11 @@ def decode(value: int, w: int) -> list[int]:
     return unpack(value, _length(value, w), w)
 
 
-def decode_chunks(value: int, w: int, size: int) -> Iterator[list[int]]:
-    """:func:`decode` of ``value``, ``size`` digits at a time: its fields are
+def decode_chunks(value: int, length: int, w: int, size: int) -> Iterator[list[int]]:
+    """:func:`unpack` of ``value``, ``size`` digits at a time: its fields are
     made once, and each chunk is split from a view of them, so no more than
     one chunk of digits is held at once."""
-    fields = memoryview(_fields(value, _length(value, w), w))
+    fields = memoryview(_fields(value, length, w))
     step = size * w
     return (_split(fields[i : i + step], w) for i in range(0, len(fields), step))
 

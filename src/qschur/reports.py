@@ -92,6 +92,14 @@ class CheckSuiteResult(_Record):
         }
 
 
+def _report(
+    label: str, params: dict[str, int], found: tuple[int, int, int] | None
+) -> VerificationReport:
+    """The report of a comparison that found ``found``, a first mismatch or None."""
+    mismatch = None if found is None else Mismatch(*found)
+    return VerificationReport(label=label, params=params, mismatch=mismatch)
+
+
 def compare_series(
     label: str,
     params: dict[str, int],
@@ -100,15 +108,11 @@ def compare_series(
     up_to: int,
 ) -> VerificationReport:
     """Build a report from a coefficient-by-coefficient series comparison."""
-    found = series_first_mismatch(lhs, rhs, up_to)
-    mismatch = None if found is None else Mismatch(*found)
-    return VerificationReport(label=label, params=params, mismatch=mismatch)
+    return _report(label, params, series_first_mismatch(lhs, rhs, up_to))
 
 
 def compare_polys(
     label: str, params: dict[str, int], lhs: LaurentPoly, rhs: LaurentPoly
 ) -> VerificationReport:
     """Build a report from an exact comparison of two Laurent polynomials."""
-    found = poly_first_mismatch(lhs, rhs)
-    mismatch = None if found is None else Mismatch(*found)
-    return VerificationReport(label=label, params=params, mismatch=mismatch)
+    return _report(label, params, poly_first_mismatch(lhs, rhs))

@@ -43,8 +43,8 @@ class TooLargeError(ValueError):
 #: table would need more is refused with :class:`TooLargeError` before any
 #: entry is built; ``D_400`` needs about 189 MB, ``D_1000`` about 7.3 GB.
 #: Unpacking one entry is refused over it too, before it starts: ``Schur_1``
-#: at shift ``m`` unpacks to ``m + 3`` coefficients at about 72 bytes each,
-#: about 36 times its packed bytes.
+#: at shift ``m`` unpacks to ``m + 3`` coefficients at about 69 bytes each,
+#: about 69 times its packed bytes, one byte a digit.
 TABLE_BUDGET_BYTES = 1 << 28
 
 
@@ -215,7 +215,7 @@ class RecurrenceTable:
         (:func:`packed.rewidth` keeps it when that is its width) and walk it
         up to ``n``; caller holds the lock."""
         _check_budget(self.footprint(n), f"a recurrence table through index {n}")
-        w = self._width_through(n)
+        w = packed.width(self._sum(n))
         a, b = (packed.rewidth(x, self._w, w) for x in self._frontier)
         self._frontier = self._walk(a, b, self._top, n, w)
         self._w = w

@@ -16,7 +16,6 @@ variable q is never evaluated at a number; it exists only through exponents.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
 from operator import add
 
 from . import packed
@@ -281,25 +280,20 @@ def monomial(c: int, k: int) -> LaurentPoly:
 def _first_mismatch(
     a: LaurentPoly | QSeries, b: LaurentPoly | QSeries, up_to: int
 ) -> tuple[int, int, int] | None:
-    """Smallest ``e <= up_to`` where the coefficients differ, with both of them,
-    from one scan of the two coefficient windows aligned at the lower start."""
-    lo = min(a.min_exp, b.min_exp)
-    aligned = zip(
-        range(lo, up_to + 1),
-        chain(repeat(0, a.min_exp - lo), a.coeffs, repeat(0)),
-        chain(repeat(0, b.min_exp - lo), b.coeffs, repeat(0)),
-    )
-    for e, ca, cb in aligned:
-        if ca != cb:
-            return (e, ca, cb)
-    return None
+    """Smallest ``e <= up_to`` where the coefficients differ, with both of them:
+    the lowest term of the difference of the two cuts at ``q^up_to``."""
+    a, b = _through(a, up_to), _through(b, up_to)
+    if a == b:
+        return None
+    e = (a - b).min_exp
+    return (e, a.coefficient(e), b.coefficient(e))
 
 
 def poly_first_mismatch(
     a: LaurentPoly, b: LaurentPoly
 ) -> tuple[int, int, int] | None:
     """Smallest exponent where two polynomials differ, with both coefficients."""
-    return None if a == b else _first_mismatch(a, b, max(a.degree, b.degree))
+    return _first_mismatch(a, b, max(a.degree, b.degree))
 
 
 class QSeries(_Record):

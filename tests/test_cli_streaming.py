@@ -60,12 +60,21 @@ def chunk_size(size: int) -> Iterator[None]:
 @settings(max_examples=100)
 @given(data=st.data())
 def test_chunk_reader_is_decode(size, data):
+    """A signed value read at :func:`packed.decode`'s length gives its digits,
+    and a nonnegative entry read at :func:`packed.digits` gives its
+    coefficients, up to its top nonzero one, ``size`` at a time."""
     w, _, coeffs = data.draw(windows(size))
     value = packed.pack(coeffs, w)
-    chunks = list(packed.decode_chunks(value, w, size))
-    assert [d for chunk in chunks for d in chunk] == packed.decode(value, w)
-    assert all(len(chunk) == size for chunk in chunks[:-1])
-    assert 0 < len(chunks[-1]) <= size
+    entry = LaurentPoly(0, [abs(c) for c in coeffs]).coeffs
+    entry_value = packed.pack(entry, w)
+    for v, length, whole in (
+        (value, packed._length(value, w), packed.decode(value, w)),
+        (entry_value, packed.digits(entry_value, w), list(entry)),
+    ):
+        chunks = list(packed.decode_chunks(v, length, w, size))
+        assert [d for chunk in chunks for d in chunk] == whole
+        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert (chunks == []) if length == 0 else (0 < len(chunks[-1]) <= size)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -73,15 +82,15 @@ def test_chunk_reader_is_decode(size, data):
 @given(data=st.data())
 def test_json_writer_is_canonical_json_of_the_document(size, data):
     """A window written from slices of its list, and a polynomial written
-    from its packed digits, cut to its length."""
+    from its packed digits, read to its length."""
     w, min_exp, coeffs = data.draw(windows(size))
     order = min_exp + len(coeffs) - 1
     with chunk_size(size):
         window = "".join(cli._document("s", min_exp, order, cli._slices(coeffs)))
     assert window == canonical_json(series_document("s", min_exp, order, coeffs))
     p = LaurentPoly(min_exp, coeffs)
-    digits = packed.decode_chunks(packed.pack(p.coeffs, w), w, size)
-    chunks = cli._take(digits, len(p.coeffs))
+    value = packed.pack(p.coeffs, w)
+    chunks = packed.decode_chunks(value, len(p.coeffs), w, size)
     poly = "".join(cli._document("p", p.min_exp, p.degree, chunks))
     assert poly == canonical_json(poly_document("p", p))
 
@@ -93,7 +102,8 @@ def test_sum_notation_is_str(size, data):
     """Every decoded digit is read, borrow digit and zeros at either end
     included, and only the nonzero ones are written."""
     w, min_exp, coeffs = data.draw(windows(size))
-    chunks = packed.decode_chunks(packed.pack(coeffs, w), w, size)
+    value = packed.pack(coeffs, w)
+    chunks = packed.decode_chunks(value, packed._length(value, w), w, size)
     text = "".join(_sum_notation(min_exp, chunks))
     assert text == str(LaurentPoly(min_exp, coeffs))
 
@@ -172,11 +182,11 @@ def test_rendering_holds_a_bounded_multiple_of_the_packed_entry(
 ):
     """``determinant --n 1 --m 10^6`` writes ``1 + q^(m+1)``, in JSON ``10^6
     + 2`` coefficients (about 4 MB), to a sink that discards them.  Its
-    traced peak, build included, is three times the packed entry, at 2 bytes
-    a digit, plus a bound independent of ``m``: the entry, its biased fields
-    and one transient of the bias add while they are made.  Decoding the
-    entry whole took about 72 bytes a coefficient, 36 times the entry, and
-    the whole command 26 times (text) and 36 times (JSON) the entry."""
+    traced peak, build included, is three times the packed entry, at 1 byte
+    a digit (its coefficients sum to 2), plus a bound independent
+    of ``m``: the entry, its biased fields and one transient of the bias add
+    while they are made.  Decoding the entry whole takes about 69 bytes a
+    coefficient, 69 times the entry."""
     m = 10**6
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)

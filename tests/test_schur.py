@@ -252,7 +252,7 @@ class TestRecurrenceTable:
         for k in range(-2, 221):
             table.entry(k)
         assert not table._checkpoints
-        assert table._w == table._width_through(220)
+        assert table._w == packed.width(table._sum(220))
         assert table.entry(0) == _oracle("D", 220)[0]
         assert sorted(table._checkpoints) == list(range(0, 221, CHECKPOINT_SPACING))
         for j, (_a, _b, w) in table._checkpoints.items():
@@ -788,15 +788,16 @@ class TestTableBudget:
     def test_unpacking_over_budget_refused_before_any_unpack(
         self, capsys, fresh_tables, monkeypatch
     ):
-        """``Schur_1`` at shift ``m`` packs small but unpacks to ``m + 3``
-        coefficients at 72 bytes each: ``m = 10^6`` fits the budget, ``4 *
-        10^6`` does not and is refused before anything is unpacked, with
-        exit 2 and nothing on stdout."""
+        """``Schur_1`` at shift ``m`` packs at one byte a digit but unpacks to
+        ``m + 3`` coefficients at 69 bytes each: ``m = 10^6`` fits the
+        budget, ``4 * 10^6`` does not and is refused before anything is
+        unpacked, with exit 2 and nothing on stdout."""
         for m, fits in ((10**6, True), (4 * 10**6, False)):
             table = RecurrenceTable(0, 1, m)
             value, w = table.packed(1)
             size = packed.decode_bytes(value, w, table._sum(1))
-            assert size == (m + 3) * 72
+            assert w == 1
+            assert size == (m + 3) * 69
             assert (size <= TABLE_BUDGET_BYTES) is fits
         unpacked = []
         monkeypatch.setattr(packed, "unpack", lambda *args: unpacked.append(args))

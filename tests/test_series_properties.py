@@ -189,10 +189,23 @@ class TestSeriesContracts:
         for e in range(-30, total.order + 1):
             assert total.coefficient(e) == sa.coefficient(e) + sb.coefficient(e)
 
-    @given(polys, polys, st.integers(-3, 3), st.integers(-6, 18), orders)
-    def test_mismatch_scans_match_a_per_exponent_scan(self, a, b, c, e, up_to):
-        """Both aligned scans agree with comparing ``coefficient()`` exponent
-        by exponent, on random pairs and on pairs one term apart."""
+    @given(
+        polys,
+        polys,
+        st.integers(-3, 3),
+        st.integers(-6, 18),
+        st.integers(0, 20),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.integers(-6, 40),
+    )
+    def test_mismatch_scans_match_a_per_exponent_scan(
+        self, a, b, c, e, lift, order_a, order_b, up_to
+    ):
+        """Both mismatch finders agree with comparing ``coefficient()``
+        exponent by exponent, on random pairs and on pairs one term apart, as
+        series of unequal orders, and with windows lifted by ``q^lift``, whose
+        ``min_exp`` can lie above ``up_to``."""
 
         def scan(x, y, hi):
             for k in range(-30, hi + 1):
@@ -200,10 +213,13 @@ class TestSeriesContracts:
                     return (k, x.coefficient(k), y.coefficient(k))
             return None
 
-        for x, y in ((a, b), (a, a + monomial(c, e))):
-            assert poly_first_mismatch(x, y) == scan(x, y, 30)
-            sx, sy = poly_to_series(x, 12), poly_to_series(y, 12)
-            assert series_first_mismatch(sx, sy, up_to) == scan(sx, sy, up_to)
+        lifted = a * monomial(1, lift)
+        pairs = ((a, b), (a, a + monomial(c, e)), (lifted, b))
+        for x, y in (*pairs, (lifted, lifted + monomial(c, e + lift))):
+            assert poly_first_mismatch(x, y) == scan(x, y, 40)
+            sx, sy = poly_to_series(x, order_a), poly_to_series(y, order_b)
+            hi = min(up_to, order_a, order_b)
+            assert series_first_mismatch(sx, sy, hi) == scan(sx, sy, hi)
 
     @given(polys, orders)
     def test_series_window_invariant(self, a, order):
