@@ -17,7 +17,7 @@ decomposition coefficients ``lambda`` and ``mu`` possible.
 from __future__ import annotations
 
 import threading
-from math import comb
+from math import comb, isqrt
 
 from . import packed
 from .series import LaurentPoly, monomial
@@ -253,14 +253,10 @@ def schur_E(m: int) -> LaurentPoly:
     return _table(1, 0).entry(m)
 
 
-#: Limbs (30-bit digits) below which CPython multiplies integers by the
-#: schoolbook method; above, by Karatsuba's.
+#: Limbs (30-bit digits) at or below which CPython multiplies integers by the
+#: schoolbook method, and above which by Karatsuba's: its own constant, 70 on
+#: CPython 3.10 to 3.13.  :func:`_radices` takes the one pair below it.
 KARATSUBA_CUTOFF = 70
-
-#: Time of the strided byte copies that evaluate an entry at one radix, per
-#: byte of its packed digits and of its digit size, in limb multiplies.
-#: Measured with CPython 3.11 on x86-64: 2 to 3.
-COPY_COST = 2.5
 
 #: A table entry as :func:`_read` returns it.
 _Entry = tuple[bytes, int, int]
@@ -313,42 +309,24 @@ def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]
     D, S`` (:func:`_read`).
 
     They cover ``M = max(S(A) S(B), S(C) S(D)) + S(S)``, the bound on every
-    coefficient of the difference: ``prod (2^(16t) - 1) > M``.  Candidates
-    are the pair ``h`` of :func:`_half_width`, which covers ``M`` since
-    ``2^(16h) - 1 >= 2^(8w) - 1 > 2 max(S(A) S(B), S(C) S(D), S(S))``, and
-    for each ``k >= 2`` the ``k`` most nearly equal distinct ``t >= 1`` that
-    sum to ``need = ceil((bits(M) + 1) / 16)``, which cover ``M`` since
-    ``prod (2^(16t) - 1) > 2^(16 need - 1) >= 2^bits(M)`` (``prod (1 -
-    2^(-16t)) > 1/2``).  The cheapest by :func:`_cost` is taken.
+    coefficient of the difference: ``prod (2^(16t) - 1) > M``.  While ``A =
+    E_{m-2}`` at the pair ``h`` of :func:`_half_width` is below
+    :data:`KARATSUBA_CUTOFF` limbs, the multiplies are schoolbook and cheap
+    next to the copies each further radix makes, so ``h`` alone is taken; it
+    covers ``M`` since ``2^(16h) - 1 >= 2^(8w) - 1 > 2 max(S(A) S(B), S(C)
+    S(D), S(S))``.  Otherwise the largest ``k`` with ``k (k + 1) / 2 <=
+    need = ceil((bits(M) + 1) / 16)`` is taken, split into the ``k`` most
+    nearly equal distinct ``t >= 1`` that sum to ``need``; they cover ``M``
+    since ``prod (2^(16t) - 1) > 2^(16 need - 1) >= 2^bits(M)`` (``prod (1 -
+    2^(-16t)) > 1/2``).
     """
-    bound = max(a[2] * b[2], c[2] * d[2]) + s[2]
-    need = (bound.bit_length() + 16) // 16
-    candidates = [[_half_width(a, b, c, d, s[2])]]
-    for k in range(2, need + 1):
-        low, extra = divmod(need - k * (k - 1) // 2, k)
-        if low < 1:
-            break
-        candidates.append([low + i + (i >= k - extra) for i in range(k)])
-    sizes = [(len(src) // w, w, packed.width(top)) for src, w, top in (a, b, c, d, s)]
-    return min(candidates, key=lambda radices: sum(_cost(t, sizes) for t in radices))
-
-
-def _cost(t: int, sizes: list[tuple[int, int, int]]) -> float:
-    """Estimated time of :func:`_decomposition`'s check at radix ``t``, in
-    limb multiplies, from each entry's digit count ``n``, width ``w`` and
-    digit size: every entry is copied (:data:`COPY_COST` per byte of ``n (w
-    + size)``), and both products are multiplied at both points, an operand
-    ``A(2^(8t))`` holding about ``n t + size`` bytes.  CPython multiplies
-    ``x <= y`` limbs in about ``x y`` steps up to :data:`KARATSUBA_CUTOFF`,
-    and in about ``y x^0.585 70^0.415`` above it (``0.585 = log2(3) - 1``).
-    """
-    total = COPY_COST * sum(n * (w + size) for n, w, size in sizes)
-    limbs = [(n * t + size) * 8 / 30 for n, _, size in sizes]
-    for i in (0, 2):
-        if sizes[i][0] and sizes[i + 1][0]:
-            x, y = sorted(limbs[i : i + 2])
-            total += 2 * y * min(x, KARATSUBA_CUTOFF) ** 0.415 * x ** 0.585
-    return total
+    h = _half_width(a, b, c, d, s[2])
+    if len(a[0]) // a[1] * h * 8 < KARATSUBA_CUTOFF * 30:
+        return [h]
+    need = ((max(a[2] * b[2], c[2] * d[2]) + s[2]).bit_length() + 16) // 16
+    k = (isqrt(8 * need + 1) - 1) // 2
+    low, extra = divmod(need - k * (k - 1) // 2, k)
+    return [low + i + (i >= k - extra) for i in range(k)]
 
 
 def wronskian(m: int) -> LaurentPoly:

@@ -208,9 +208,7 @@ class LaurentPoly(_Record):
         return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -280,12 +278,24 @@ def monomial(c: int, k: int) -> LaurentPoly:
 def _first_mismatch(
     a: LaurentPoly | QSeries, b: LaurentPoly | QSeries, up_to: int
 ) -> tuple[int, int, int] | None:
-    """Smallest ``e <= up_to`` where the coefficients differ, with both of them:
-    the lowest term of the difference of the two cuts at ``q^up_to``."""
+    """Smallest ``e <= up_to`` where the coefficients differ, with both of them.
+
+    The cuts at ``q^up_to`` are normalized, so when they start apart the
+    lower start is the first difference.  When they start together, halving
+    their aligned coefficient tuples with ``==`` finds the first index ``lo``
+    where they differ or the shorter one ends; the first difference is the
+    lowest term of the two tails from ``lo``, which is ``lo`` itself unless
+    one cut is a prefix of the other, and then the lowest term of the longer
+    one's tail."""
     a, b = _through(a, up_to), _through(b, up_to)
     if a == b:
         return None
-    e = (a - b).min_exp
+    lo, hi = 0, max(len(a.coeffs), len(b.coeffs))
+    while a.min_exp == b.min_exp and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if a.coeffs[lo:mid] == b.coeffs[lo:mid] else (lo, mid)
+    tails = [LaurentPoly(p.min_exp + lo, p.coeffs[lo:]) for p in (a, b)]
+    e = min(t.min_exp for t in tails if t.coeffs)
     return (e, a.coefficient(e), b.coefficient(e))
 
 

@@ -246,7 +246,9 @@ class TestDecompose:
         assert report.to_text() == expected.to_text()
         assert json.dumps(report.to_json_obj()) == json.dumps(expected.to_json_obj())
 
-    @pytest.mark.parametrize("n, m", [(140, 40), (60, 20), (33, 2), (150, 8)])
+    @pytest.mark.parametrize(
+        "n, m", [(140, 40), (60, 20), (33, 2), (150, 8), (100, 14), (100, 16)]
+    )
     def test_near_miss_at_one_radix_is_caught(self, n, m, fresh_tables):
         """A wrong ``Schur_n``, the right one plus ``c q^k (q^2 - Y^2)`` for
         one radix ``t`` the check evaluates at, ``Y = 2^(8t)``, agrees with
@@ -316,14 +318,21 @@ class TestDecompose:
         """Over the grid above and the ``decompose`` and ``determinant
         --check`` sizes of the benchmark, the radices are distinct, at least
         1, and ``prod (2^(16t) - 1)`` exceeds ``M = max(S(A) S(B), S(C) S(D))
-        + S(Schur_n)``; at ``m <= 8`` they are the one pair."""
+        + S(Schur_n)``; at ``m <= 8`` they are the one pair.
+
+        Every shape takes one of the rule's two cases: the one pair ``h`` of
+        :func:`schur._half_width` exactly when ``A = E_{m-2}`` at radix ``h``
+        is under ``KARATSUBA_CUTOFF`` limbs, otherwise the largest ``k`` with
+        ``k (k + 1) / 2 <= need`` most nearly equal radices summing to
+        ``need``.  Shifts 9 to 19 hold shapes on both sides of the cutoff."""
         grid = [
             (n, m) for m in (0, 1, 2, 3, 4, 7, 12, 20, 40) for n in (0, 1, 2, 5, 33, 90)
         ]
         grid += [(n, m) for m in (20, 30, 40) for n in range(60, 141)]
         grid += [(n, m) for m in range(9) for n in range(100, 151)]
+        grid += [(n, m) for m in range(9, 20) for n in (0, 1, 2, 5, 33, 90, 140)]
         d, e = schur._table(0, 1), schur._table(1, 0)
-        counts = set()
+        counts, cases = set(), set()
         for n, m in grid:
             table = schur._table(0, 1, m)
             reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m), (table, n))
@@ -333,10 +342,21 @@ class TestDecompose:
             bound = max(sa * sb, sc * sd) + ss
             assert len(set(radices)) == len(radices) and min(radices) >= 1, (n, m)
             assert prod((1 << 16 * t) - 1 for t in radices) > bound, (n, m)
+            h = schur._half_width(*entries[:4], ss)
             if m <= 8 and n >= 100:
-                assert radices == [schur._half_width(*entries[:4], ss)], (n, m)
+                assert radices == [h], (n, m)
+            digits = len(entries[0][0]) // entries[0][1]  # of A = E_{m-2}
+            if digits * h * 8 < schur.KARATSUBA_CUTOFF * 30:
+                assert radices == [h], (n, m)
+            else:
+                need = (bound.bit_length() + 16) // 16
+                k = max(k for k in range(1, need + 1) if k * (k + 1) // 2 <= need)
+                assert len(radices) == k and sum(radices) == need, (n, m)
+                assert max(radices) - min(radices) <= k, (n, m)
+            cases.add((m, len(radices) > 1))
             counts.add(len(radices))
         assert {1, 2, 3} <= counts
+        assert {(14, False), (16, True)} <= cases
         # S(Schur_n) carries M = 2^128 - 1 past the 127 bits of the products.
         def entry(digits: int, bound: int) -> tuple[bytes, int, int]:
             return packed.to_bytes(1 << 8 * 17 * (digits - 1), 17), 17, bound

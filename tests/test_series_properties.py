@@ -198,14 +198,18 @@ class TestSeriesContracts:
         st.integers(0, 40),
         st.integers(0, 40),
         st.integers(-6, 40),
+        st.lists(st.integers(-9, 9), min_size=0, max_size=30),
+        st.integers(0, 6),
     )
     def test_mismatch_scans_match_a_per_exponent_scan(
-        self, a, b, c, e, lift, order_a, order_b, up_to
+        self, a, b, c, e, lift, order_a, order_b, up_to, prefix, zeros
     ):
         """Both mismatch finders agree with comparing ``coefficient()``
         exponent by exponent, on random pairs and on pairs one term apart, as
         series of unequal orders, and with windows lifted by ``q^lift``, whose
-        ``min_exp`` can lie above ``up_to``."""
+        ``min_exp`` can lie above ``up_to``; and, either way round, on cuts
+        that share a long prefix and differ after it, and on cuts where one is
+        a prefix of the other followed by ``zeros`` zeros and a term."""
 
         def scan(x, y, hi):
             for k in range(-30, hi + 1):
@@ -215,7 +219,11 @@ class TestSeriesContracts:
 
         lifted = a * monomial(1, lift)
         pairs = ((a, b), (a, a + monomial(c, e)), (lifted, b))
-        for x, y in (*pairs, (lifted, lifted + monomial(c, e + lift))):
+        shared = LaurentPoly(-6, [*prefix, c]), LaurentPoly(-6, [*prefix, c + 1])
+        longer = LaurentPoly(-6, [*prefix, *[0] * zeros, c or 1])
+        extra = (shared, (LaurentPoly(-6, prefix), longer))
+        extra += tuple((y, x) for x, y in extra)
+        for x, y in (*pairs, (lifted, lifted + monomial(c, e + lift)), *extra):
             assert poly_first_mismatch(x, y) == scan(x, y, 40)
             sx, sy = poly_to_series(x, order_a), poly_to_series(y, order_b)
             hi = min(up_to, order_a, order_b)
