@@ -22,12 +22,11 @@ coefficient to a requested truncation order, with zero tolerance.
 
 from __future__ import annotations
 
-import threading
 from math import comb, isqrt
 
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
-from .schur import _check_budget, lambda_coeff, mu_coeff, schur_D, schur_E
+from .schur import _check_budget, _lock, lambda_coeff, mu_coeff, schur_D, schur_E
 from .series import QSeries, poly_to_series
 
 __all__ = [
@@ -40,8 +39,7 @@ __all__ = [
 
 
 # P1 (r = 1) and P2 (r = 2) through the highest order asked so far.  A list
-# only grows, so a shorter request is a slice; the lock serializes appends.
-_product_lock = threading.Lock()
+# only grows, so a shorter request is a slice; appends run under schur._lock.
 _products: dict[int, list[int]] = {1: [], 2: []}
 
 
@@ -76,7 +74,7 @@ def _rr_product(r: int, order: int) -> QSeries:
     _check_budget(_product_bytes(order), what)
     c = _products[r]
     if len(c) <= order:
-        with _product_lock:
+        with _lock:
             theta = {}
             for n in range(-isqrt(order), isqrt(order) + 1):  # n(5n+1-2r)/2 >= n^2
                 theta[n * (5 * n + 1 - 2 * r) // 2] = (-1) ** (n & 1)

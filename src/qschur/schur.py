@@ -64,6 +64,11 @@ CHECKPOINT_SPACING = 16
 #: recently read goes.
 TABLES_MAX = 8
 
+#: Guards every recurrence table, the table registry and the Rogers-Ramanujan
+#: products of :mod:`qschur.identities`; held for the whole of each read or
+#: extension of them.
+_lock = threading.Lock()
+
 
 class RecurrenceTable:
     """``X_k = X_{k-1} + q^(k+shift) X_{k-2}`` from constants ``X_{-2}, X_{-1}``.
@@ -92,9 +97,8 @@ class RecurrenceTable:
     difference is the packed ``q^(i+shift) X_{i-2}``, whose digits below
     ``i + shift`` are all zero, and the shift right drops only those.
 
-    Builds, the choice of the starting pair and the keeping of checkpoints
-    run under one lock, and the first pair kept at a ``j`` stays; walks,
-    repacks and unpacks run outside it.
+    Each read holds :data:`_lock` from its build to the end of its walk;
+    unpacking runs outside it.
     """
 
     def __init__(self, x_minus2: int, x_minus1: int, shift: int = 0):
@@ -104,7 +108,6 @@ class RecurrenceTable:
         self._top = -1
         self._frontier = self._initial  # (X_{top-1}, X_top), packed at _w
         self._checkpoints: dict[int, tuple[int, int, int]] = {}  # j: (X_{j-1}, X_j, w)
-        self._lock = threading.Lock()
 
     def packed(self, k: int) -> tuple[int, int]:
         """``(value, w)``: ``X_k`` packed as the ``w``-byte digits of ``value``,
@@ -114,7 +117,7 @@ class RecurrenceTable:
         if k < 0:
             return self._initial[k + 2], 1
         low = k - k % CHECKPOINT_SPACING  # the checkpoint at or below k
-        with self._lock:
+        with _lock:
             if k > self._top:
                 self._extend(k)
             held = self._checkpoints
@@ -122,10 +125,9 @@ class RecurrenceTable:
             a, b, w = held[j] if j in held else (*self._frontier, self._w)
             if low in held and k - low <= j - k:
                 (a, b, w), j = held[low], low
-            bottom = k if low in held else low
-        if j <= k:
-            return self._walk(a, b, j, k, w)[1], w
-        return self._walk_down(a, b, j, k, bottom, w)
+            if j <= k:
+                return self._walk(a, b, j, k, w)[1], w
+            return self._walk_down(a, b, j, k, k if low in held else low, w)
 
     def entry(self, k: int) -> LaurentPoly:
         """``X_k`` for ``k >= -2`` (:meth:`decodable`)."""
@@ -191,9 +193,10 @@ class RecurrenceTable:
         """``(value, w)`` of ``X_k``, walked down from the pair ``(X_{j-1},
         X_j)`` packed at ``w`` and on to ``bottom <= k``.  The pair at every
         checkpoint below ``j`` and at or above ``bottom`` is repacked to its
-        segment's width, the walk goes on from it, and it is kept unless a
-        pair is held there already."""
-        spacing, kept = CHECKPOINT_SPACING, []
+        segment's width and kept, and the walk goes on from it.  None is held
+        yet: :meth:`packed` starts at the lowest pair held above ``k`` and
+        walks below ``k`` only to a checkpoint not held, under :data:`_lock`."""
+        spacing = CHECKPOINT_SPACING
         stops = range(j - 1 - (j - 1) % spacing, bottom - 1, -spacing)
         for stop in sorted({k, *stops}, reverse=True):
             a, b = self._walk(a, b, j, stop, w)
@@ -201,19 +204,15 @@ class RecurrenceTable:
             if stop % spacing == 0:
                 to = self._width_through(stop)
                 a, b, w = packed.rewidth(a, w, to), packed.rewidth(b, w, to), to
-                kept.append((stop, (a, b, w)))
+                self._checkpoints[stop] = a, b, w
             if stop == k:
                 value = b, w
-        with self._lock:
-            for i, pair in kept:
-                if i not in self._checkpoints:
-                    self._checkpoints[i] = pair
         return value
 
     def _extend(self, n: int) -> None:
         """Repack the frontier at the width every entry through ``n`` needs
         (:func:`packed.rewidth` keeps it when that is its width) and walk it
-        up to ``n``; caller holds the lock."""
+        up to ``n``; caller holds :data:`_lock`."""
         _check_budget(self.footprint(n), f"a recurrence table through index {n}")
         w = packed.width(self._sum(n))
         a, b = (packed.rewidth(x, self._w, w) for x in self._frontier)
@@ -223,7 +222,6 @@ class RecurrenceTable:
 
 
 _tables: dict[tuple[int, int, int], RecurrenceTable] = {}  # in order of last use
-_tables_lock = threading.Lock()
 
 
 def _table(x_minus2: int, x_minus1: int, shift: int = 0) -> RecurrenceTable:
@@ -234,7 +232,7 @@ def _table(x_minus2: int, x_minus1: int, shift: int = 0) -> RecurrenceTable:
     ``m`` is ``(0, 1, m)``, so ``Schur_n`` at ``m = 0`` is ``D``'s table.
     """
     key = (x_minus2, x_minus1, shift)
-    with _tables_lock:
+    with _lock:
         table = _tables.pop(key, None) or RecurrenceTable(*key)
         _tables[key] = table
         if len(_tables) > TABLES_MAX:

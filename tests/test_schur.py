@@ -298,7 +298,7 @@ class TestRecurrenceTable:
         assert len(unpacked) == 3
         assert schur_D(20) == low and len(unpacked) == 4
         assert set(vars(table)) == {
-            "_initial", "_shift", "_w", "_top", "_frontier", "_checkpoints", "_lock"
+            "_initial", "_shift", "_w", "_top", "_frontier", "_checkpoints"
         }
         assert sorted(table._checkpoints) == list(range(16, 150, CHECKPOINT_SPACING))
         held = [*table._frontier, *(x for t in table._checkpoints.values() for x in t)]

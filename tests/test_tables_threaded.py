@@ -7,10 +7,16 @@ import sys
 import threading
 import time
 
-from qschur import packed, schur
-from qschur.determinant import schur_finite
-from qschur.identities import rr_product_first, rr_product_second
-from qschur.schur import CHECKPOINT_SPACING, RecurrenceTable, schur_D, schur_E
+from qschur import identities, packed, schur
+from qschur.determinant import decompose, schur_finite
+from qschur.identities import rr_product_first, rr_product_second, verify_gis
+from qschur.schur import (
+    CHECKPOINT_SPACING,
+    RecurrenceTable,
+    schur_D,
+    schur_E,
+    wronskian,
+)
 
 # D, E and the shifts 1..11 (shift 0 is D) are 13 tables, more than the
 # registry keeps, so the threads also race on evicting and rebuilding them.
@@ -24,6 +30,20 @@ PRODUCT_REQUESTS = [
     for fn in (rr_product_first, rr_product_second)
     for order in range(0, 600, 3)
 ]
+# Tables and products share one lock, so these threads contend on both kinds
+# of state at once.
+MIXED_REQUESTS = (
+    [(schur_D, (k,)) for k in range(0, 80, 7)]
+    + [(schur_E, (k,)) for k in range(0, 80, 7)]
+    + [(wronskian, (m,)) for m in range(0, 40, 4)]
+    + [(decompose, (n, m)) for n in range(0, 40, 9) for m in range(0, 12, 3)]
+    + [
+        (fn, (order,))
+        for fn in (rr_product_first, rr_product_second)
+        for order in range(0, 400, 40)
+    ]
+    + [(verify_gis, (m, 60)) for m in range(11)]
+)
 
 
 def _key(fn, args):
@@ -99,9 +119,8 @@ def test_first_reads_below_a_built_top_match_a_serial_run(fresh_tables, monkeypa
 
 def test_first_reads_below_a_built_top_keep_each_checkpoint_once():
     """Eight threads make their first reads below the top of a table built to
-    160, each in its own order.  Each checkpoint is stored once, the first
-    pair kept at it stays, and the checkpoints and entries equal a serial
-    run's."""
+    160, each in its own order.  Each checkpoint is stored once, and the
+    checkpoints and entries equal a serial run's."""
     serial = RecurrenceTable(0, 1, 3)
     serial.packed(160)
     expected = {("entry", k): serial.entry(k) for k in range(161)}
@@ -110,7 +129,7 @@ def test_first_reads_below_a_built_top_keep_each_checkpoint_once():
     stores: list[int] = []
 
     class Checkpoints(dict):
-        def __setitem__(self, j, pair):  # called under the table's lock
+        def __setitem__(self, j, pair):  # called under schur._lock
             stores.append(j)
             super().__setitem__(j, pair)
 
@@ -196,4 +215,58 @@ def test_interleaved_product_requests_match_a_serial_run(fresh_products):
 
     fresh_products()
     for got in _run_threads(PRODUCT_REQUESTS):
+        assert got == serial
+
+
+def test_tables_registry_and_products_change_under_the_lock(monkeypatch):
+    """A build, a walk down from the frontier, a walk up from a checkpoint,
+    every registry store and every product append run with ``schur._lock``
+    held."""
+    held: list[tuple] = []  # (what, locked)
+    walk, extend = RecurrenceTable._walk, RecurrenceTable._extend
+
+    def spy_walk(self, a, b, j, k, w):
+        held.append((("walk", j, k), schur._lock.locked()))
+        return walk(self, a, b, j, k, w)
+
+    def spy_extend(self, n):
+        held.append((("extend", n), schur._lock.locked()))
+        return extend(self, n)
+
+    class Registry(dict):
+        def __setitem__(self, key, table):
+            held.append((("table", key), schur._lock.locked()))
+            super().__setitem__(key, table)
+
+    class Coefficients(list):
+        def append(self, c):
+            held.append((("append",), schur._lock.locked()))
+            super().append(c)
+
+    monkeypatch.setattr(RecurrenceTable, "_walk", spy_walk)
+    monkeypatch.setattr(RecurrenceTable, "_extend", spy_extend)
+    monkeypatch.setattr(schur, "_tables", Registry())
+    monkeypatch.setattr(identities, "_products", {1: Coefficients(), 2: Coefficients()})
+    schur_D(150)
+    schur_D(20)  # walks down from the frontier at 150, keeping checkpoints
+    schur_D(17)  # walks up from the checkpoint at 16
+    rr_product_first(300)
+    seen = [what for what, _ in held]
+    assert ("extend", 150) in seen and ("walk", 16, 17) in seen
+    assert ("walk", 150, 144) in seen and ("table", (0, 1, 0)) in seen
+    assert seen.count(("append",)) == 301
+    assert all(locked for _, locked in held), held
+
+
+def test_mixed_table_and_product_requests_match_a_serial_run(
+    fresh_tables, fresh_products
+):
+    """Threads read D and E, take Wronskians and decompositions, extend and
+    slice both products and verify the GIS identity, all in one shuffled
+    list; every thread gets a serial run's results."""
+    serial = {_key(fn, args): fn(*args) for fn, args in MIXED_REQUESTS}
+
+    fresh_tables()
+    fresh_products()
+    for got in _run_threads(MIXED_REQUESTS):
         assert got == serial
