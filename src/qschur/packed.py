@@ -6,7 +6,8 @@ Coefficient ``i`` is the ``i``-th ``w``-byte digit, so a list ``c`` packs to
 :func:`pack` and :func:`unpack` convert with one bias, ``2^(8w-1)`` in every
 digit, which turns each digit into an unsigned field.  Unsigned digits, the
 nonnegative coefficients of a recurrence-table entry, are also copied as
-bytes: repacked to another width, or split for evaluation at ``+-2^(8h)``.
+bytes: repacked to another width, or cut into byte planes for evaluation at
+``+-2^(8t)``.
 
 This module is the package's only copy of the format, and is internal.
 
@@ -129,46 +130,55 @@ def to_bytes(value: int, w: int) -> bytes:
     return value.to_bytes(digits(value, w) * w, "little")
 
 
-def restride(src: bytes, w: int, to: int, step: int = 1) -> list[int]:
-    """The ``w``-byte digits of :func:`to_bytes` cut into ``step`` packed
-    values at ``to`` bytes per digit by a strided byte copy: the ``r``-th
-    holds digits ``r, r + step, r + 2 step, ...``.  Narrowing keeps the low
-    ``to`` bytes of each digit, so every digit must fit them."""
-    n = len(src) // w
-    parts = []
-    for r in range(step):
-        out = bytearray(len(range(r, n, step)) * to)
-        for i in range(min(w, to)):
-            out[i::to] = src[r * w + i :: step * w]
-        parts.append(int.from_bytes(out, "little"))
-    return parts
-
-
 def rewidth(value: int, w: int, to: int) -> int:
-    """A packed entry repacked at ``to`` bytes per digit (:func:`restride`)."""
-    return value if w == to else restride(to_bytes(value, w), w, to)[0]
+    """A packed entry repacked at ``to`` bytes per digit by a strided byte
+    copy.  Narrowing keeps the low ``to`` bytes of each digit, so every digit
+    must fit them."""
+    if w == to:
+        return value
+    src = to_bytes(value, w)
+    out = bytearray(len(src) // w * to)
+    for i in range(min(w, to)):
+        out[i::to] = src[i::w]
+    return int.from_bytes(out, "little")
 
 
-def at_two_points(src: bytes, w: int, bound: int, h: int) -> tuple[int, int]:
-    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A``'s :func:`to_bytes` at
-    ``w`` bytes, no digit above ``bound``: ``E +- X O``, ``E`` and ``O`` the
-    even and odd digits evaluated at ``X^2``.
+def cut(value: int, w: int, bound: int) -> tuple[list[bytes], list[bytes]]:
+    """The byte planes ``(even, odd)`` of a packed entry's nonnegative
+    ``w``-byte digits, none above ``bound``: ``even[j]`` holds byte ``j`` of
+    every even-indexed digit in order, for ``j < size = width(bound) <= w``,
+    and ``odd`` likewise.  :func:`to_bytes` of the entry is dropped once they
+    exist; :func:`at_two_points` evaluates them at any radix."""
+    src, step = to_bytes(value, w), 2 * w
+    return tuple([src[r + j :: step] for j in range(width(bound))] for r in (0, w))
 
-    A digit takes ``size = width(bound)`` bytes.  When ``2h >= size``, ``E``
-    and ``O`` are the even and odd digits copied to ``2h`` bytes each.  At a
-    narrower ``2h`` the digits overlap, so ``E`` is the sum over ``r < L =
-    ceil(size / 2h)`` of the even digits ``i = r mod L`` at ``2hL`` bytes,
-    shifted by ``16 h r`` bits, and ``O`` likewise.  One strided byte copy at
-    step ``2L`` gives all ``2L`` of them.
-    """
-    step = -(-width(bound) // (2 * h))
-    parts = restride(src, w, 2 * h * step, 2 * step)
-    even, odd = parts[-2:]
-    for r in range(step - 2, -1, -1):
-        even = (even << 16 * h) + parts[2 * r]
-        odd = (odd << 16 * h) + parts[2 * r + 1]
-    odd <<= 8 * h
+
+def at_two_points(planes: tuple[list[bytes], list[bytes]], t: int) -> tuple[int, int]:
+    """``(A(Y), A(-Y))`` for ``Y = 2^(8t)`` from :func:`cut` of ``A``: ``E +-
+    Y O``, ``E`` and ``O`` the even and odd digits evaluated at ``Y^2``
+    (:func:`_evaluate`)."""
+    even, odd = (_evaluate(half, 2 * t) for half in planes)
+    odd <<= 8 * t
     return even + odd, even - odd
+
+
+def _evaluate(planes: list[bytes], slot: int) -> int:
+    """The digits whose byte planes are ``planes`` (:func:`cut`) evaluated at
+    ``2^(8 slot)``.
+
+    The ``size`` planes fall into ``L = ceil(size / slot)`` groups of
+    ``slot``.  Group ``r`` of every digit, written into ``slot``-byte slots,
+    is one integer, and the value is the sum of the ``L`` of them shifted by
+    ``8 slot r`` bits.  At ``slot >= size`` that is the digits packed at
+    ``slot`` bytes.
+    """
+    value = 0
+    for r in reversed(range(0, len(planes), slot)):
+        out = bytearray(len(planes[0]) * slot)
+        for j, plane in enumerate(planes[r : r + slot]):
+            out[j::slot] = plane
+        value = (value << 8 * slot) + int.from_bytes(out, "little")
+    return value
 
 
 def from_two_points(plus: int, minus: int, h: int) -> list[int]:

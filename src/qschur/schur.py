@@ -39,9 +39,11 @@ class TooLargeError(ValueError):
     its cap."""
 
 
-#: Bytes of packed entries one recurrence table may hold.  A request whose
-#: table would need more is refused with :class:`TooLargeError` before any
-#: entry is built; ``D_400`` needs about 189 MB, ``D_1000`` about 7.3 GB.
+#: Bytes of packed entries a build of one recurrence table may touch, its
+#: :meth:`RecurrenceTable.footprint`.  A request whose build would touch more
+#: is refused with :class:`TooLargeError` before any entry is built; the
+#: build through ``D_400`` touches about 189 MB, through ``D_1000`` about
+#: 7.3 GB, though a table read at its top holds only two entries.
 #: Unpacking one entry is refused over it too, before it starts: ``Schur_1``
 #: at shift ``m`` unpacks to ``m + 3`` coefficients at about 69 bytes each,
 #: about 69 times its packed bytes, one byte a digit.
@@ -153,7 +155,8 @@ class RecurrenceTable:
 
     def footprint(self, n: int) -> int:
         """``sum(len_k) * w`` over ``k = -2..n``: bytes of the entries packed
-        at the width ``n`` needs, a bound on the packed values the table holds.
+        at the width ``n`` needs, which a build through ``n`` touches; a table
+        read at its top holds only the two entries of its frontier.
 
         Computed from integer recurrences alone.  Nothing cancels, so the
         digit count is ``len_k = max(len_{k-1}, k + shift + len_{k-2})`` (0
@@ -257,15 +260,16 @@ def schur_E(m: int) -> LaurentPoly:
 KARATSUBA_CUTOFF = 70
 
 #: A table entry as :func:`_read` returns it.
-_Entry = tuple[bytes, int, int]
+_Entry = tuple[tuple[list[bytes], list[bytes]], int, int]
 
 
 def _read(table: RecurrenceTable, k: int) -> _Entry:
-    """``(src, w, S_k)``: entry ``k``'s ``w``-byte digits as the bytes of
-    :func:`packed.to_bytes`, none of which exceeds the coefficient sum
-    ``S_k``."""
+    """``(planes, n, S_k)``: entry ``k``'s ``n`` digits cut into byte planes
+    (:func:`packed.cut`), none of which exceeds the coefficient sum ``S_k``.
+    The cut runs outside :data:`_lock`."""
     value, w = table.packed(k)
-    return packed.to_bytes(value, w), w, table._sum(k)
+    bound = table._sum(k)
+    return packed.cut(value, w, bound), packed.digits(value, w), bound
 
 
 def _half_width(a: _Entry, b: _Entry, c: _Entry, d: _Entry, bound: int = 0) -> int:
@@ -286,19 +290,17 @@ def _packed_cross(
     """``A B - C D`` for entries ``A, B, C, D`` (:func:`_read`), evaluated at
     ``X = 2^(8h)`` and at ``-X``: ``(plus, minus)``.
 
-    This is Harvey's two-point Kronecker substitution: each operand is
-    evaluated at both points by :func:`packed.at_two_points`, and four
-    multiplies at half the one-point width give both values (a product with
-    a zero factor is skipped).  At ``h`` from :func:`_half_width` the even and odd
-    coefficients of the result are the balanced ``2h``-byte digits of
-    ``(plus + minus) / 2`` and ``(plus - minus) / (2X)``.
+    This is Harvey's two-point Kronecker substitution: each operand's planes
+    are evaluated at both points by :func:`packed.at_two_points`, and four
+    multiplies at half the one-point width give both values.  At ``h`` from
+    :func:`_half_width` the even and odd coefficients of the result are the
+    balanced ``2h``-byte digits of ``(plus + minus) / 2`` and ``(plus -
+    minus) / (2X)``.
     """
-    plus = minus = 0
-    for sign, x, y in ((1, a, b), (-1, c, d)):
-        if x[0] and y[0]:
-            (xp, xm), (yp, ym) = (packed.at_two_points(*v, h) for v in (x, y))
-            plus, minus = plus + sign * xp * yp, minus + sign * xm * ym
-    return plus, minus
+    (ap, am), (bp, bm), (cp, cm), (dp, dm) = (
+        packed.at_two_points(x[0], h) for x in (a, b, c, d)
+    )
+    return ap * bp - cp * dp, am * bm - cm * dm
 
 
 def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]:
@@ -310,7 +312,7 @@ def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]
     coefficient of the difference: ``prod (2^(16t) - 1) > M``.  While ``A =
     E_{m-2}`` at the pair ``h`` of :func:`_half_width` is below
     :data:`KARATSUBA_CUTOFF` limbs, the multiplies are schoolbook and cheap
-    next to the copies each further radix makes, so ``h`` alone is taken; it
+    next to the writes each further radix makes, so ``h`` alone is taken; it
     covers ``M`` since ``2^(16h) - 1 >= 2^(8w) - 1 > 2 max(S(A) S(B), S(C)
     S(D), S(S))``.  Otherwise the largest ``k`` with ``k (k + 1) / 2 <=
     need = ceil((bits(M) + 1) / 16)`` is taken, split into the ``k`` most
@@ -319,7 +321,7 @@ def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]
     2^(-16t)) > 1/2``).
     """
     h = _half_width(a, b, c, d, s[2])
-    if len(a[0]) // a[1] * h * 8 < KARATSUBA_CUTOFF * 30:
+    if a[1] * h * 8 < KARATSUBA_CUTOFF * 30:
         return [h]
     need = ((max(a[2] * b[2], c[2] * d[2]) + s[2]).bit_length() + 16) // 16
     k = (isqrt(8 * need + 1) - 1) // 2
@@ -365,9 +367,9 @@ def _decomposition(n: int, m: int) -> bool:
 
     ``E_{m-2}`` and ``D_{m-2}`` are read before ``D_{n+m}`` and ``E_{n+m}``,
     so tables first read here are read at their tops and keep no checkpoint.
-    :func:`_read` converts each entry to bytes once for every radix.  Nothing
-    is unpacked, on a pass or a mismatch: the report of a mismatch is built
-    by :func:`~qschur.determinant.decompose` in :class:`LaurentPoly`
+    :func:`_read` cuts each entry into byte planes once for every radix.
+    Nothing is unpacked, on a pass or a mismatch: the report of a mismatch is
+    built by :func:`~qschur.determinant.decompose` in :class:`LaurentPoly`
     arithmetic, which shares no code with this check.
     """
     schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
@@ -379,7 +381,7 @@ def _decomposition(n: int, m: int) -> bool:
     flip = (-1) ** shift  # (-Y)^shift = flip Y^shift
     for t in radices:
         plus, minus = _packed_cross(*cross, t)
-        lhs_plus, lhs_minus = packed.at_two_points(*lhs, t)
+        lhs_plus, lhs_minus = packed.at_two_points(lhs[0], t)
         up = 8 * t * shift
         if plus != sign * lhs_plus << up or minus != flip * sign * lhs_minus << up:
             return False

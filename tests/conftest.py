@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from qschur import identities, packed, schur
+from qschur.series import LaurentPoly
 
 
 @pytest.fixture
@@ -32,17 +33,45 @@ def fresh_products(monkeypatch):
 
 
 @pytest.fixture
+def cuts(monkeypatch):
+    """``(entries, radices)``: every table entry cut into byte planes
+    (``packed.cut``) during one test, as a ``LaurentPoly``, and the ``t`` of
+    every evaluation of planes at ``+-2^(8t)`` (``packed.at_two_points``), in
+    order."""
+    entries, radices = [], []
+    cut, at_two_points = packed.cut, packed.at_two_points
+
+    def spy_cut(value, w, bound):
+        entries.append(LaurentPoly(0, packed.unpack(value, packed.digits(value, w), w)))
+        return cut(value, w, bound)
+
+    def spy(planes, t):
+        radices.append(t)
+        return at_two_points(planes, t)
+
+    monkeypatch.setattr(packed, "cut", spy_cut)
+    monkeypatch.setattr(packed, "at_two_points", spy)
+    return entries, radices
+
+
+@pytest.fixture
 def splits(monkeypatch):
-    """``(w, to)`` of every even/odd split of a product operand, its ``w``-byte
-    digits copied to ``to`` bytes (``packed.restride`` at step 2), made
-    during one test, in order."""
-    calls = []
-    restride = packed.restride
+    """``(w, to)`` of every evaluation of a product operand's byte planes
+    (``packed.at_two_points`` at ``+-2^(8t)``) made during one test, in
+    order: the planes were cut from digits packed at ``w`` bytes
+    (``packed.cut``) and are written into ``to = 2t``-byte slots."""
+    calls, widths = [], {}
+    cut, at_two_points = packed.cut, packed.at_two_points
 
-    def spy(src, w, to, step=1):
-        if step == 2:
-            calls.append((w, to))
-        return restride(src, w, to, step)
+    def spy_cut(value, w, bound):
+        planes = cut(value, w, bound)
+        widths[id(planes)] = w
+        return planes
 
-    monkeypatch.setattr(packed, "restride", spy)
+    def spy(planes, t):
+        calls.append((widths[id(planes)], 2 * t))
+        return at_two_points(planes, t)
+
+    monkeypatch.setattr(packed, "cut", spy_cut)
+    monkeypatch.setattr(packed, "at_two_points", spy)
     return calls

@@ -18,6 +18,9 @@ whose lowest coefficient is not a unit with :class:`NotInvertibleError`.
 :func:`poly_document`, :func:`qseries_document` and
 :func:`format_series_table` render a whole value at once, as the CLI once
 did; they are the byte oracles of its chunked writers.
+:func:`at_two_points` evaluates a packed table entry at ``+-2^(8h)`` by a
+strided byte copy of its whole digits at every radix (:func:`restride`); it
+is the oracle of the byte-plane evaluation in :mod:`qschur.packed`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
+from qschur import packed
 from qschur.identities import rr_product_first, rr_product_second
 from qschur.schur import schur_D, schur_E
 from qschur.series import ONE, LaurentPoly, QSeries, divide_one_minus_qk, monomial
@@ -219,3 +223,40 @@ def sum_side_coefficients(m: int, up_to: int) -> list[int]:
             n += 1
         out.append(total)
     return out
+
+
+def restride(src: bytes, w: int, to: int, step: int) -> list[int]:
+    """The ``w``-byte digits of :func:`packed.to_bytes` cut into ``step``
+    packed values at ``to`` bytes per digit by a strided byte copy: the
+    ``r``-th holds digits ``r, r + step, r + 2 step, ...``.  Narrowing keeps
+    the low ``to`` bytes of each digit, so every digit must fit them."""
+    n = len(src) // w
+    parts = []
+    for r in range(step):
+        out = bytearray(len(range(r, n, step)) * to)
+        for i in range(min(w, to)):
+            out[i::to] = src[r * w + i :: step * w]
+        parts.append(int.from_bytes(out, "little"))
+    return parts
+
+
+def at_two_points(src: bytes, w: int, bound: int, h: int) -> tuple[int, int]:
+    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A``'s
+    :func:`packed.to_bytes` at ``w`` bytes, no digit above ``bound``: ``E +-
+    X O``, ``E`` and ``O`` the even and odd digits evaluated at ``X^2``.
+
+    A digit takes ``size = width(bound)`` bytes.  When ``2h >= size``, ``E``
+    and ``O`` are the even and odd digits copied to ``2h`` bytes each.  At a
+    narrower ``2h`` the digits overlap, so ``E`` is the sum over ``r < L =
+    ceil(size / 2h)`` of the even digits ``i = r mod L`` at ``2hL`` bytes,
+    shifted by ``16 h r`` bits, and ``O`` likewise.  One strided byte copy at
+    step ``2L`` gives all ``2L`` of them.
+    """
+    step = -(-packed.width(bound) // (2 * h))
+    parts = restride(src, w, 2 * h * step, 2 * step)
+    even, odd = parts[-2:]
+    for r in range(step - 2, -1, -1):
+        even = (even << 16 * h) + parts[2 * r]
+        odd = (odd << 16 * h) + parts[2 * r + 1]
+    odd <<= 8 * h
+    return even + odd, even - odd

@@ -314,6 +314,20 @@ class TestDecompose:
         assert report == compare_polys("decomposition", {"n": n, "m": m}, lhs, rhs)
         assert report.passed is not off
 
+    @pytest.mark.parametrize("n, m, count", [(140, 40, 4), (130, 30, 3), (150, 8, 1)])
+    def test_each_entry_is_cut_once_whatever_the_radices(
+        self, n, m, count, fresh_tables, cuts
+    ):
+        """``_decomposition`` cuts each of its five entries into byte planes
+        once per call, and evaluates every set of planes once at each of its
+        ``count`` radices."""
+        entries, radices = cuts
+        assert determinant._decomposition(n, m)
+        cross = [schur_E(m - 2), schur_D(m - 2), schur_D(n + m), schur_E(n + m)]
+        assert entries == [*cross, schur_finite(n, m)]
+        assert len(set(radices)) == count
+        assert {radices.count(t) for t in radices} == {5}
+
     def test_radices_are_distinct_and_cover_the_bound(self, fresh_tables):
         """Over the grid above and the ``decompose`` and ``determinant
         --check`` sizes of the benchmark, the radices are distinct, at least
@@ -345,7 +359,7 @@ class TestDecompose:
             h = schur._half_width(*entries[:4], ss)
             if m <= 8 and n >= 100:
                 assert radices == [h], (n, m)
-            digits = len(entries[0][0]) // entries[0][1]  # of A = E_{m-2}
+            digits = entries[0][1]  # of A = E_{m-2}
             if digits * h * 8 < schur.KARATSUBA_CUTOFF * 30:
                 assert radices == [h], (n, m)
             else:
@@ -358,11 +372,12 @@ class TestDecompose:
         assert {1, 2, 3} <= counts
         assert {(14, False), (16, True)} <= cases
         # S(Schur_n) carries M = 2^128 - 1 past the 127 bits of the products.
-        def entry(digits: int, bound: int) -> tuple[bytes, int, int]:
-            return packed.to_bytes(1 << 8 * 17 * (digits - 1), 17), 17, bound
+        def entry(digits: int, bound: int) -> schur._Entry:
+            return packed.cut(1 << 8 * 17 * (digits - 1), 17, bound), digits, bound
 
         a, b, d = entry(400, 1), entry(8000, (1 << 127) - 1), entry(8000, 1)
-        radices = schur._radices(a, b, (b"", 1, 0), d, entry(7000, 1 << 127))
+        zero = packed.cut(0, 1, 0), 0, 0
+        radices = schur._radices(a, b, zero, d, entry(7000, 1 << 127))
         assert len(radices) > 1
         assert prod((1 << 16 * t) - 1 for t in radices) > (1 << 128) - 1
 

@@ -29,6 +29,7 @@ from qschur.schur import (
 )
 from qschur.series import ONE, LaurentPoly, Q, monomial
 
+from . import oracles
 from .oracles import recurrence_entries
 
 
@@ -484,6 +485,18 @@ class TestPackedProducts:
         narrowed = {to < w for w, to in splits if to != w}
         assert narrowed == ({True, False} if built else {False})
 
+    def test_wronskian_cuts_each_entry_once(self, fresh_tables, cuts):
+        """``wronskian(m)`` cuts each of ``D_{m-1}``, ``D_m``, ``E_{m-1}`` and
+        ``E_m`` into byte planes once, and evaluates each set once, at the
+        pair ``+-2^(8h)``."""
+        entries, radices = cuts
+        for m in (0, 1, 40, 70):
+            entries.clear()
+            radices.clear()
+            wronskian(m)
+            assert entries == [schur_D(m - 1), schur_D(m), schur_E(m - 1), schur_E(m)]
+            assert len(radices) == 4 and len(set(radices)) == 1, m
+
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
     def test_cross_of_any_entries_matches_laurent_arithmetic(self, built):
         """``A B - C D`` over random entries of ``D``, ``E`` and a shifted
@@ -511,16 +524,18 @@ class TestPackedProducts:
     @settings(max_examples=100)
     @given(st.data())
     def test_even_odd_split_round_trip(self, parity, wider, data):
-        """Nonnegative digits packed at ``w`` bytes split into their even- and
-        odd-indexed digits at ``to`` bytes, narrower or wider, and interleave
-        back; the empty list (zero) and a single digit included."""
+        """Nonnegative digits packed at ``w`` bytes are cut into the byte planes
+        of their even- and odd-indexed digits, which, written at ``to`` bytes,
+        narrower or wider, are those digits packed, and interleave back; the
+        empty list (zero) and a single digit included."""
         w = data.draw(st.integers(1, 23))
         to = data.draw(st.integers(w + 1, 24) if wider else st.integers(1, w))
         top = (1 << (8 * min(w, to) - 1)) - 1
         size = 2 * data.draw(st.integers(0, 20)) + parity
         digits = data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
-        src = packed.to_bytes(packed.pack(digits, w), w)
-        even, odd = packed.restride(src, w, to, 2)
+        planes = packed.cut(packed.pack(digits, w), w, top)
+        assert [len(half) for half in planes] == [min(w, to)] * 2
+        even, odd = (packed._evaluate(half, to) for half in planes)
         assert even == packed.pack(digits[0::2], to)
         assert odd == packed.pack(digits[1::2], to)
         back = [0] * len(digits)
@@ -551,30 +566,41 @@ class TestPackedProducts:
 
     def test_split_of_zero_and_a_single_digit(self):
         assert packed.to_bytes(0, 3) == b""
-        assert packed.restride(b"", 3, 4, 2) == [0, 0]
-        assert packed.restride(b"\x7f", 1, 2, 2) == [0x7F, 0]
-        assert packed.at_two_points(b"\x7f", 1, 0x7F, 1) == (0x7F, 0x7F)
+        assert oracles.restride(b"", 3, 4, 2) == [0, 0]
+        assert oracles.restride(b"\x7f", 1, 2, 2) == [0x7F, 0]
+        assert packed.cut(0, 3, 0) == ([b""], [b""])
+        assert packed.cut(0x7F, 3, 0x7F) == ([b"\x7f"], [b""])
+        assert packed.cut(0x7F, 1, 0x7F) == ([b"\x7f"], [b""])
+        for t in (1, 2):
+            zero = oracles.at_two_points(b"", 3, 0, t)
+            assert packed.at_two_points(packed.cut(0, 3, 0), t) == zero == (0, 0)
+            one = oracles.at_two_points(b"\x7f", 1, 0x7F, t)
+            assert packed.at_two_points(packed.cut(0x7F, 1, 0x7F), t) == one
+            assert one == (0x7F, 0x7F)
 
     def test_evaluation_against_direct_sums(self):
-        """``packed.at_two_points`` against ``sum(c (+-2^(8t))^i)`` for digits packed
-        at ``w`` bytes that take ``size`` of them, at ``2t`` narrower than,
-        equal to and wider than ``size``, with ``2t`` dividing ``w`` and not;
-        the zero operand, a single digit and odd and even counts included."""
+        """``packed.at_two_points`` of ``packed.cut`` against the strided oracle
+        and ``sum(c (+-2^(8t))^i)`` for digits packed at ``w`` bytes that
+        take ``size`` of them, at ``2t`` narrower than, equal to and wider
+        than ``size``, with ``2t`` dividing ``w`` and not; the zero operand,
+        a single digit and odd and even counts included."""
         rng = random.Random(13)
         seen = set()
-        for w in range(1, 8):
+        for w in range(1, 24):
             for size in range(1, w + 1):
                 bound = (1 << (8 * size - 1)) - 1  # its width is size bytes
                 for count in range(6):
                     digits = [rng.randint(0, bound) for _ in range(count)]
-                    src = packed.to_bytes(packed.pack(digits, w), w)
+                    value = packed.pack(digits, w)
+                    src, planes = packed.to_bytes(value, w), packed.cut(value, w, bound)
                     for t in range(1, w + 2):
                         y = 1 << (8 * t)
                         expected = tuple(
                             sum(c * x**i for i, c in enumerate(digits))
                             for x in (y, -y)
                         )
-                        assert packed.at_two_points(src, w, bound, t) == expected
+                        assert packed.at_two_points(planes, t) == expected
+                        assert oracles.at_two_points(src, w, bound, t) == expected
                         seen.add(("digits", min(count, 2 + count % 2)))
                         seen.add(("2t vs size", (2 * t > size) - (2 * t < size)))
                         seen.add(("2t divides w", w % (2 * t) == 0))
