@@ -131,26 +131,30 @@ def to_bytes(value: int, w: int) -> bytes:
 
 
 def rewidth(value: int, w: int, to: int) -> int:
-    """A packed entry repacked at ``to`` bytes per digit by a strided byte
-    copy.  Narrowing keeps the low ``to`` bytes of each digit, so every digit
-    must fit them."""
+    """A packed entry repacked at ``to`` bytes per digit: its low ``min(w,
+    to)`` byte planes (:func:`_planes`) written into ``to``-byte slots
+    (:func:`_evaluate`).  Narrowing keeps the low ``to`` bytes of each digit,
+    so every digit must fit them."""
     if w == to:
         return value
-    src = to_bytes(value, w)
-    out = bytearray(len(src) // w * to)
-    for i in range(min(w, to)):
-        out[i::to] = src[i::w]
-    return int.from_bytes(out, "little")
+    return _evaluate(_planes(value, w, 1, min(w, to))[0], to)
 
 
 def cut(value: int, w: int, bound: int) -> tuple[list[bytes], list[bytes]]:
     """The byte planes ``(even, odd)`` of a packed entry's nonnegative
     ``w``-byte digits, none above ``bound``: ``even[j]`` holds byte ``j`` of
-    every even-indexed digit in order, for ``j < size = width(bound) <= w``,
-    and ``odd`` likewise.  :func:`to_bytes` of the entry is dropped once they
-    exist; :func:`at_two_points` evaluates them at any radix."""
-    src, step = to_bytes(value, w), 2 * w
-    return tuple([src[r + j :: step] for j in range(width(bound))] for r in (0, w))
+    every even-indexed digit in order, for ``j < ceil(bits(bound) / 8) <=
+    w``, and ``odd`` likewise.  :func:`to_bytes` of the entry is dropped once
+    they exist; :func:`at_two_points` evaluates them at any radix."""
+    return _planes(value, w, 2, -(-bound.bit_length() // 8))
+
+
+def _planes(value: int, w: int, parts: int, size: int) -> tuple[list[bytes], ...]:
+    """For each ``r < parts``, the low ``size`` byte planes of the digits
+    whose index is ``r`` modulo ``parts``, cut from :func:`to_bytes` of a
+    packed entry with one strided read each."""
+    src, step = to_bytes(value, w), parts * w
+    return tuple([src[r + j :: step] for j in range(size)] for r in range(0, step, w))
 
 
 def at_two_points(planes: tuple[list[bytes], list[bytes]], t: int) -> tuple[int, int]:
@@ -163,8 +167,8 @@ def at_two_points(planes: tuple[list[bytes], list[bytes]], t: int) -> tuple[int,
 
 
 def _evaluate(planes: list[bytes], slot: int) -> int:
-    """The digits whose byte planes are ``planes`` (:func:`cut`) evaluated at
-    ``2^(8 slot)``.
+    """The digits whose byte planes are ``planes`` (:func:`_planes`)
+    evaluated at ``2^(8 slot)``.
 
     The ``size`` planes fall into ``L = ceil(size / slot)`` groups of
     ``slot``.  Group ``r`` of every digit, written into ``slot``-byte slots,

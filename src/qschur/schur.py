@@ -57,9 +57,10 @@ def _check_budget(size: int, what: str) -> None:
         raise TooLargeError(f"{what} needs more than {TABLE_BUDGET_BYTES} bytes")
 
 
-#: A read that walks down keeps the packed pair ``(X_{j-1}, X_j)`` at every
-#: ``j`` divisible by this that it passes, so once the checkpoints around an
-#: entry are held, a read rebuilds it in at most half this many steps.
+#: A read below a table's top walks up from the checkpoint at or below it and
+#: keeps the packed pair ``(X_{j-1}, X_j)`` at every ``j`` divisible by this
+#: that it passes, so once that checkpoint is held, a read rebuilds an entry
+#: in fewer than this many steps.
 CHECKPOINT_SPACING = 16
 
 #: Recurrence tables kept at once, ``D`` and ``E`` included; the least
@@ -86,18 +87,18 @@ class RecurrenceTable:
     nothing else; the frontier is repacked when a request needs a wider
     ``w``.  A table read only at its top therefore holds that one pair.
     Below the top, the checkpoints ``(X_{j-1}, X_j, w)`` at multiples ``j``
-    of :data:`CHECKPOINT_SPACING` are a cache that reads fill.  A read walks
-    from the nearest pair held: up from the checkpoint at or below it, or
-    down from the lowest checkpoint above it or from the frontier.  Walking
-    down, it keeps each checkpoint it passes, and walks on to the checkpoint
-    at or below it when that one is not held yet.  Each kept pair is
-    repacked to the width of its own segment, :meth:`_width_through`, which
-    covers every entry up to the next checkpoint.
+    of :data:`CHECKPOINT_SPACING` are a cache that reads fill.  A read
+    walks up from the highest checkpoint held at or below it, or from the
+    constants ``(X_{-2}, X_{-1})``, and keeps each checkpoint it passes,
+    repacked to the width of its own segment, :meth:`_width_through`,
+    which covers every entry up to the next checkpoint.  Every repack
+    widens.
 
-    A step down undoes a step up: ``X_{i-2} = (X_i - X_{i-1}) q^-(i+shift)``.
-    It is exact at the pair's width.  Both entries fit it, so the packed
-    difference is the packed ``q^(i+shift) X_{i-2}``, whose digits below
-    ``i + shift`` are all zero, and the shift right drops only those.
+    The step onto the checkpoint at ``j`` runs at the width of the segment
+    below it, ``_width_through(j - CHECKPOINT_SPACING)``, which covers
+    ``S_{j-1}``.  It is exact there: :func:`packed.width` keeps a spare bit,
+    and ``S_j <= 2 S_{j-1}`` for ``j >= 1``, so ``S_j`` still fits.  At ``j =
+    0`` it runs at the constants' one byte, which holds ``S_0``.
 
     Each read holds :data:`_lock` from its build to the end of its walk;
     unpacking runs outside it.
@@ -118,18 +119,21 @@ class RecurrenceTable:
             raise IndexError(f"Schur polynomial index must be >= -2, got {k}")
         if k < 0:
             return self._initial[k + 2], 1
-        low = k - k % CHECKPOINT_SPACING  # the checkpoint at or below k
+        spacing = CHECKPOINT_SPACING
         with _lock:
             if k > self._top:
                 self._extend(k)
+            if k == self._top:
+                return self._frontier[1], self._w
             held = self._checkpoints
-            j = min((i for i in held if i > k), default=self._top)
-            a, b, w = held[j] if j in held else (*self._frontier, self._w)
-            if low in held and k - low <= j - k:
-                (a, b, w), j = held[low], low
-            if j <= k:
-                return self._walk(a, b, j, k, w)[1], w
-            return self._walk_down(a, b, j, k, k if low in held else low, w)
+            j = max((i for i in held if i <= k), default=-1)
+            a, b, w = held.get(j, (*self._initial, 1))
+            for stop in range((j // spacing + 1) * spacing, k + 1, spacing):
+                a, b = self._walk(a, b, j, stop, w)
+                to = self._width_through(stop)
+                a, b, w = packed.rewidth(a, w, to), packed.rewidth(b, w, to), to
+                held[stop], j = (a, b, w), stop
+            return self._walk(a, b, j, k, w)[1], w
 
     def entry(self, k: int) -> LaurentPoly:
         """``X_k`` for ``k >= -2`` (:meth:`decodable`)."""
@@ -181,36 +185,12 @@ class RecurrenceTable:
         return packed.width(self._sum(top))
 
     def _walk(self, a: int, b: int, j: int, k: int, w: int) -> tuple[int, int]:
-        """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, up or down to
-        ``(X_{k-1}, X_k)``."""
+        """Step the pair ``(X_{j-1}, X_j)``, packed at ``w``, up to ``(X_{k-1},
+        X_k)``."""
         bits, shift = 8 * w, self._shift
         for i in range(j + 1, k + 1):
             a, b = b, b + (a << bits * (i + shift))
-        for i in range(j, k, -1):
-            a, b = (b - a) >> bits * (i + shift), a
         return a, b
-
-    def _walk_down(
-        self, a: int, b: int, j: int, k: int, bottom: int, w: int
-    ) -> tuple[int, int]:
-        """``(value, w)`` of ``X_k``, walked down from the pair ``(X_{j-1},
-        X_j)`` packed at ``w`` and on to ``bottom <= k``.  The pair at every
-        checkpoint below ``j`` and at or above ``bottom`` is repacked to its
-        segment's width and kept, and the walk goes on from it.  None is held
-        yet: :meth:`packed` starts at the lowest pair held above ``k`` and
-        walks below ``k`` only to a checkpoint not held, under :data:`_lock`."""
-        spacing = CHECKPOINT_SPACING
-        stops = range(j - 1 - (j - 1) % spacing, bottom - 1, -spacing)
-        for stop in sorted({k, *stops}, reverse=True):
-            a, b = self._walk(a, b, j, stop, w)
-            j = stop
-            if stop % spacing == 0:
-                to = self._width_through(stop)
-                a, b, w = packed.rewidth(a, w, to), packed.rewidth(b, w, to), to
-                self._checkpoints[stop] = a, b, w
-            if stop == k:
-                value = b, w
-        return value
 
     def _extend(self, n: int) -> None:
         """Repack the frontier at the width every entry through ``n`` needs

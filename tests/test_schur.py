@@ -247,15 +247,16 @@ class TestRecurrenceTable:
     def test_ascending_reads_pack_each_checkpoint_at_its_own_width(self):
         """A repack widens the digits to what the request needs and no more,
         so reading ``D_-2 .. D_220`` one by one, each at the top, leaves the
-        frontier at the top's width and no checkpoint; one read of ``D_0``
-        then keeps every checkpoint, each at the width of its own segment."""
+        frontier at the top's width and no checkpoint; one read of ``D_219``
+        then walks up from the constants and keeps every checkpoint it
+        passes, 0 to 208, each at the width of its own segment."""
         table = RecurrenceTable(0, 1)
         for k in range(-2, 221):
             table.entry(k)
         assert not table._checkpoints
         assert table._w == packed.width(table._sum(220))
-        assert table.entry(0) == _oracle("D", 220)[0]
-        assert sorted(table._checkpoints) == list(range(0, 221, CHECKPOINT_SPACING))
+        assert table.entry(219) == _oracle("D", 220)[219]
+        assert sorted(table._checkpoints) == list(range(0, 209, CHECKPOINT_SPACING))
         for j, (_a, _b, w) in table._checkpoints.items():
             assert w == table._width_through(j), j
 
@@ -275,6 +276,22 @@ class TestRecurrenceTable:
         assert [e._sum(k) for k in range(-2, 90)] == fib[0:92]
         assert [s._sum(n) for n in range(90)] == fib[3:93]
         assert d._top == e._top == s._top == -1
+
+    def test_the_step_onto_a_checkpoint_fits_the_segment_below(self):
+        """A read steps onto the checkpoint at ``j`` at the width of the
+        segment below it, ``_width_through(j - CHECKPOINT_SPACING)`` (the
+        constants' one byte at ``j = 0``), and that width holds ``S_j``, so
+        the step is exact: for ``D``, ``E`` and shifts 1..40 up to ``j =
+        1024``, from integers alone."""
+        spacing = CHECKPOINT_SPACING
+        tables = [RecurrenceTable(0, 1), RecurrenceTable(1, 0)]
+        tables += [RecurrenceTable(0, 1, m) for m in range(1, 41)]
+        for table in tables:
+            assert table._width_through(-spacing) == 1
+            for j in range(0, 1025, spacing):
+                w = table._width_through(j - spacing)
+                assert table._sum(j).bit_length() <= 8 * w, (table._shift, j)
+            assert table._top == -1
 
     def test_entries_unpack_only_when_read(self, fresh_tables, monkeypatch):
         """Building to ``D_150`` leaves every entry packed; each read, at the
@@ -301,7 +318,7 @@ class TestRecurrenceTable:
         assert set(vars(table)) == {
             "_initial", "_shift", "_w", "_top", "_frontier", "_checkpoints"
         }
-        assert sorted(table._checkpoints) == list(range(16, 150, CHECKPOINT_SPACING))
+        assert sorted(table._checkpoints) == [0, 16]  # passed on the way up
         held = [*table._frontier, *(x for t in table._checkpoints.values() for x in t)]
         assert all(type(x) is int for x in held)
 
@@ -362,10 +379,10 @@ class TestRecurrenceTable:
     def test_reads_below_the_top_keep_the_checkpoints_they_pass(
         self, fresh_tables, monkeypatch
     ):
-        """A read walking down keeps every checkpoint it passes and walks on
-        to the checkpoint at or below it only when that one is not held; a
-        read next to held checkpoints keeps nothing.  Entries match the
-        oracle throughout."""
+        """A read below the top walks up from the highest checkpoint held at
+        or below it, or from the constants, and keeps every checkpoint it
+        passes; a read at the top walks nothing.  Entries match the oracle
+        throughout."""
         spacing = CHECKPOINT_SPACING
         table = RecurrenceTable(0, 1, 3)
         table.packed(220)
@@ -380,34 +397,36 @@ class TestRecurrenceTable:
         expected = _oracle("S3", 220)
         steps = []
         for k, held in [
-            (100, range(96, 220, spacing)),  # down from the top, on to 96
-            (90, range(80, 220, spacing)),  # down from 96, on to 80
-            (93, range(80, 220, spacing)),  # down from 96; 80 is held
-            (99, range(80, 220, spacing)),  # up from 96
-            (5, range(0, 220, spacing)),  # down from 80, on to 0
+            (100, range(0, 97, spacing)),  # up from the constants, keeping 0 to 96
+            (90, range(0, 97, spacing)),  # up from 80
+            (150, range(0, 145, spacing)),  # up from 96, keeping 112 to 144
+            (5, range(0, 145, spacing)),  # up from 0
+            (219, range(0, 209, spacing)),  # up from 144, keeping 160 to 208
+            (220, range(0, 209, spacing)),  # the frontier: no walk
         ]:
             walks.clear()
             assert table.entry(k) == expected[k], k
             assert sorted(table._checkpoints) == list(held), k
-            steps.append(sum(abs(j - i) for j, i in walks))
-        assert steps == [220 - 96, 96 - 80, 96 - 93, 99 - 96, 80]
+            assert all(j <= i for j, i in walks), k
+            steps.append(sum(i - j for j, i in walks))
+        assert steps == [100 + 1, 90 - 80, 150 - 96, 5, 219 - 144, 0]
         for j, (_a, _b, w) in table._checkpoints.items():
             assert w == table._width_through(j), j
 
     @pytest.mark.parametrize("kind", ["D", "E", "S8"])
     def test_reads_walk_at_most_half_the_spacing(self, kind, fresh_tables, monkeypatch):
-        """Built to 220, a table read once at 0 keeps every checkpoint, each
-        at its own segment's width, and then rebuilds each entry from the
-        nearest pair it holds: up from the checkpoint at or below it, down
-        from the checkpoint above it or down from the frontier.  All three
-        occur, none takes more than half the spacing in steps, and the
-        entries next to every checkpoint and the frontier match the oracle."""
-        half = CHECKPOINT_SPACING // 2
+        """Built to 220, a table read once at 219 keeps every checkpoint from 0
+        to 208, each at its own segment's width, and then rebuilds each entry
+        below the top by walking up from the checkpoint at or below it, in
+        fewer steps than the spacing; a read at the top walks nothing.  The
+        entries next to every checkpoint and the frontier match the
+        oracle."""
+        spacing = CHECKPOINT_SPACING
         _read(kind, 220)
         table = _table(kind)
-        top, checkpoints = table._top, range(0, 221, CHECKPOINT_SPACING)
-        assert top % CHECKPOINT_SPACING  # the frontier is no checkpoint
-        _read(kind, 0)
+        top, checkpoints = table._top, range(0, 221, spacing)
+        assert top % spacing  # the frontier is no checkpoint
+        _read(kind, top - 1)
         assert sorted(table._checkpoints) == list(checkpoints)
         for j, (_a, _b, w) in table._checkpoints.items():
             assert w == table._width_through(j), j
@@ -419,20 +438,17 @@ class TestRecurrenceTable:
             return walk(self, a, b, j, k, w)
 
         monkeypatch.setattr(RecurrenceTable, "_walk", spy)
-        edges = [k for j in checkpoints for k in (j - 1, j + half, j + half + 1)]
+        edges = [k for j in checkpoints for k in (j - 1, j, j + 1)]
         edges = [k for k in (*edges, top - 1, top) if 0 <= k <= top]
         rest = [k for k in range(top + 1) if k not in edges]
         random.Random(kind).shuffle(rest)
         expected = _oracle(kind, 220)
         for k in [*edges, *rest]:
             assert _read(kind, k) == expected[k], (kind, k)
-        assert len(walks) == len(edges) + len(rest)
-        assert max(abs(k - j) for j, k in walks) <= half
+        assert len(walks) == len(edges) + len(rest) - 1  # all but the top's
+        assert all(j == k - k % spacing for j, k in walks)
         assert sorted(table._checkpoints) == list(checkpoints)
-        up = {j for j, k in walks if k > j}
-        down = {j for j, k in walks if k < j}
-        assert up and up <= set(checkpoints)
-        assert down & set(checkpoints) and top in down
+        assert {j for j, _k in walks} == set(checkpoints)
 
 
 @lru_cache(maxsize=1)
@@ -468,11 +484,11 @@ class TestPackedProducts:
 
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
     def test_wronskian_matches_laurent_arithmetic(self, built, fresh_tables, splits):
-        """Built to 300 first, the tables are read below their tops, from
-        checkpoints packed at their own segments' widths: wider than the
-        half-width digits of some products below ``m = 120``, whose splits
-        narrow, and narrower than others'.  Read fresh in ascending order, at
-        the frontier's width, they are narrower, and every split widens."""
+        """Built to 300 first, the tables are read below their tops, walked up
+        from checkpoints packed at their own segments' widths: none is wider
+        than the half-width digits of its products below ``m = 120``, so no
+        split narrows.  Read fresh in ascending order, at the frontier's
+        width, they are narrower, and every split widens."""
         expected = _laurent_wronskians(120)
         fresh_tables()
         if built:
@@ -483,7 +499,7 @@ class TestPackedProducts:
             if m == 0:
                 splits.clear()  # the constant D_{-1} is kept at one byte
         narrowed = {to < w for w, to in splits if to != w}
-        assert narrowed == ({True, False} if built else {False})
+        assert len(splits) == 4 * 120 and narrowed == {False}
 
     def test_wronskian_cuts_each_entry_once(self, fresh_tables, cuts):
         """``wronskian(m)`` cuts each of ``D_{m-1}``, ``D_m``, ``E_{m-1}`` and
@@ -568,7 +584,7 @@ class TestPackedProducts:
         assert packed.to_bytes(0, 3) == b""
         assert oracles.restride(b"", 3, 4, 2) == [0, 0]
         assert oracles.restride(b"\x7f", 1, 2, 2) == [0x7F, 0]
-        assert packed.cut(0, 3, 0) == ([b""], [b""])
+        assert packed.cut(0, 3, 0) == ([], [])
         assert packed.cut(0x7F, 3, 0x7F) == ([b"\x7f"], [b""])
         assert packed.cut(0x7F, 1, 0x7F) == ([b"\x7f"], [b""])
         for t in (1, 2):
@@ -577,6 +593,22 @@ class TestPackedProducts:
             one = oracles.at_two_points(b"\x7f", 1, 0x7F, t)
             assert packed.at_two_points(packed.cut(0x7F, 1, 0x7F), t) == one
             assert one == (0x7F, 0x7F)
+        # bits(0xFF) is a multiple of 8: one byte plane per parity, though
+        # the balanced width is two bytes
+        digits = [0xFF, 0, 0x80, 0xFF, 1]
+        assert packed.width(0xFF) == 2
+        for w in (2, 3):
+            value = packed.pack(digits, w)
+            planes = packed.cut(value, w, 0xFF)
+            assert [len(half) for half in planes] == [1, 1]
+            for t in (1, 2):
+                y = 1 << (8 * t)
+                expected = tuple(
+                    sum(c * x**i for i, c in enumerate(digits)) for x in (y, -y)
+                )
+                assert packed.at_two_points(planes, t) == expected
+                src = packed.to_bytes(value, w)
+                assert oracles.at_two_points(src, w, 0xFF, t) == expected
 
     def test_evaluation_against_direct_sums(self):
         """``packed.at_two_points`` of ``packed.cut`` against the strided oracle

@@ -143,9 +143,9 @@ def test_first_reads_below_a_built_top_keep_each_checkpoint_once():
 def test_reads_below_a_moving_top_match_a_serial_run(monkeypatch):
     """One thread extends a fresh table from 0 to 220 in steps of 5 while three
     others read the four entries below each top they see; it takes each step
-    once a reader has seen the last.  Those reads walk down from the
-    frontier snapshot each one takes under the lock, and every value equals
-    a serial run's."""
+    once a reader has seen the last.  Those reads walk up, under the lock,
+    from the constants or the checkpoint at or below them, keeping each
+    checkpoint they pass, and every value equals a serial run's."""
     table = RecurrenceTable(0, 1, 8)
     serial = [table.entry(k) for k in range(221)]
     table = RecurrenceTable(0, 1, 8)
@@ -154,12 +154,12 @@ def test_reads_below_a_moving_top_match_a_serial_run(monkeypatch):
     seen: set[int] = set()  # tops a reader has started below
     read, wrong = [], []  # list.append is atomic
     errors: list[Exception] = []
-    from_frontier = []
+    up_walks = []  # (j, k) of the walks of reads below the top
     walk = RecurrenceTable._walk
 
     def spy(self, a, b, j, k, w):
-        if k < j and j % CHECKPOINT_SPACING:  # no checkpoint sits at j
-            from_frontier.append(j)
+        if k < self._top:  # a build walks past its old top
+            up_walks.append((j, k))
         return walk(self, a, b, j, k, w)
 
     def extender() -> None:
@@ -205,8 +205,12 @@ def test_reads_below_a_moving_top_match_a_serial_run(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    assert table._top == 220 and seen >= set(range(0, 221, 5)) and from_frontier
+    assert table._top == 220 and seen >= set(range(0, 221, 5)) and up_walks
     assert set(read) >= set(range(216, 220)) and not wrong, wrong
+    spacing = CHECKPOINT_SPACING
+    assert all(j == -1 or j % spacing == 0 for j, _k in up_walks)
+    assert all(0 <= k - j <= spacing for j, k in up_walks)
+    assert sorted(table._checkpoints) == list(range(0, 209, spacing))
 
 
 def test_interleaved_product_requests_match_a_serial_run(fresh_products):
@@ -219,7 +223,7 @@ def test_interleaved_product_requests_match_a_serial_run(fresh_products):
 
 
 def test_tables_registry_and_products_change_under_the_lock(monkeypatch):
-    """A build, a walk down from the frontier, a walk up from a checkpoint,
+    """A build, a walk up onto a checkpoint, a walk up from a checkpoint,
     every registry store and every product append run with ``schur._lock``
     held."""
     held: list[tuple] = []  # (what, locked)
@@ -248,12 +252,12 @@ def test_tables_registry_and_products_change_under_the_lock(monkeypatch):
     monkeypatch.setattr(schur, "_tables", Registry())
     monkeypatch.setattr(identities, "_products", {1: Coefficients(), 2: Coefficients()})
     schur_D(150)
-    schur_D(20)  # walks down from the frontier at 150, keeping checkpoints
+    schur_D(20)  # walks up from the constants, keeping the checkpoints 0 and 16
     schur_D(17)  # walks up from the checkpoint at 16
     rr_product_first(300)
     seen = [what for what, _ in held]
     assert ("extend", 150) in seen and ("walk", 16, 17) in seen
-    assert ("walk", 150, 144) in seen and ("table", (0, 1, 0)) in seen
+    assert ("walk", 0, 16) in seen and ("table", (0, 1, 0)) in seen
     assert seen.count(("append",)) == 301
     assert all(locked for _, locked in held), held
 
