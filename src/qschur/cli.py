@@ -1,18 +1,21 @@
 """Command-line interface: computation and verification with text/JSON output.
 
-Exit codes: 0 all checks passed, 1 at least one mathematical mismatch,
-2 usage error.  Results go to stdout; diagnostics and usage errors go to
-stderr.  JSON output is one object per line with a fixed key order, so
-parsing and re-serializing reproduces the bytes exactly.  A polynomial or
-series is written :data:`CHUNK_DIGITS` coefficients at a time, a table
-entry's read straight from its packed digits, and the bytes are those of
-rendering it whole.
+Exit codes: 0 all checks passed, 1 at least one mathematical mismatch, 2
+usage error or a request refused for size, 141 (128 + SIGPIPE, as a shell
+reports it) when the reader closes stdout before all of it is written; an
+interrupt keeps Python's default.  Results go to stdout; diagnostics and
+usage errors go to stderr.  JSON output is one object per line with a fixed
+key order, so parsing and re-serializing reproduces the bytes exactly.  A
+polynomial or series is written :data:`CHUNK_DIGITS` coefficients at a
+time, a table entry's read straight from its packed digits, and the bytes
+are those of rendering it whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -102,10 +105,7 @@ def _usage_error(message: str) -> int:
 
 
 def _emit_report(report: VerificationReport, fmt: str) -> None:
-    if fmt == "json":
-        print(canonical_json(report.to_json_obj()))
-    else:
-        print(report.to_text())
+    print(canonical_json(report.to_json_obj()) if fmt == "json" else report.to_text())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -139,11 +139,8 @@ def cmd_schur_poly(args: argparse.Namespace) -> int:
 def cmd_product(args: argparse.Namespace) -> int:
     if args.order < 0:
         return _usage_error("--order must be >= 0")
-    series = (
-        rr_product_first(args.order)
-        if args.which == "rr1"
-        else rr_product_second(args.order)
-    )
+    product = rr_product_first if args.which == "rr1" else rr_product_second
+    series = product(args.order)
     chunks = _slices(series.coeffs)
     if args.format == "json":
         _write(_document(args.which, series.min_exp, series.order, chunks))
@@ -197,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
             "and coefficient-exact verification of the Garrett-Ismail-Stanton "
             "generalization of the Rogers-Ramanujan identities."
         ),
+        epilog="exit codes: 0 all checks passed, 1 a mathematical mismatch, 2 a "
+        "usage error or a request refused for size, 141 stdout closed early",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -233,11 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("determinant", help="print a finite Schur determinant")
     p_det.add_argument("--n", type=int, required=True, help="matrix size minus one")
     p_det.add_argument("--m", type=int, required=True, help="superdiagonal shift")
-    p_det.add_argument(
-        "--check",
-        action="store_true",
-        help="also run the cofactor oracle and the decomposition check",
-    )
+    check = "also run the cofactor oracle and the decomposition check"
+    p_det.add_argument("--check", action="store_true", help=check)
     add_format(p_det)
     p_det.set_defaults(func=cmd_determinant)
 
@@ -250,13 +246,21 @@ def main(argv: list[str] | None = None) -> int:
     Every command computes all its results before it prints any of them, so
     a request refused for size (:class:`TooLargeError`) leaves stdout empty;
     it is reported here, once for all commands, as a usage error on stderr
-    with exit 2.
+    with exit 2.  A reader that closes stdout early (``BrokenPipeError``,
+    from a write or from the flush here) is also caught once: stdout is
+    pointed at the null device, so the flush at exit cannot raise again,
+    and the exit is 141 with no traceback.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # flushes stdout, unless it was never open
     except TooLargeError as exc:
         return _usage_error(str(exc))
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

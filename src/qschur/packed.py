@@ -7,7 +7,7 @@ Coefficient ``i`` is the ``i``-th ``w``-byte digit, so a list ``c`` packs to
 digit, which turns each digit into an unsigned field.  Unsigned digits, the
 nonnegative coefficients of a recurrence-table entry, are also copied as
 bytes: repacked to another width, or cut into byte planes for evaluation at
-``+-2^(8t)``.
+``+-2^(4s)``, whose square is ``s`` whole bytes.
 
 This module is the package's only copy of the format, and is internal.
 
@@ -157,12 +157,12 @@ def _planes(value: int, w: int, parts: int, size: int) -> tuple[list[bytes], ...
     return tuple([src[r + j :: step] for j in range(size)] for r in range(0, step, w))
 
 
-def at_two_points(planes: tuple[list[bytes], list[bytes]], t: int) -> tuple[int, int]:
-    """``(A(Y), A(-Y))`` for ``Y = 2^(8t)`` from :func:`cut` of ``A``: ``E +-
-    Y O``, ``E`` and ``O`` the even and odd digits evaluated at ``Y^2``
-    (:func:`_evaluate`)."""
-    even, odd = (_evaluate(half, 2 * t) for half in planes)
-    odd <<= 8 * t
+def at_two_points(planes: tuple[list[bytes], list[bytes]], s: int) -> tuple[int, int]:
+    """``(A(Y), A(-Y))`` for ``Y = 2^(4s)``, so ``Y^2 = 2^(8s)`` for any ``s
+    >= 1``, from :func:`cut` of ``A``: ``E +- Y O``, ``E`` and ``O`` the even
+    and odd digits evaluated at ``Y^2`` (:func:`_evaluate`)."""
+    even, odd = (_evaluate(half, s) for half in planes)
+    odd <<= 4 * s
     return even + odd, even - odd
 
 
@@ -185,12 +185,13 @@ def _evaluate(planes: list[bytes], slot: int) -> int:
     return value
 
 
-def from_two_points(plus: int, minus: int, h: int) -> list[int]:
-    """The coefficients of ``P`` with ``plus = P(X)`` and ``minus = P(-X)``,
-    ``X = 2^(8h)``, every one inside the balanced ``2h``-byte range: the
-    even and odd halves decoded and interleaved."""
-    even = decode((plus + minus) >> 1, 2 * h)
-    odd = decode((plus - minus) >> (8 * h + 1), 2 * h)
+def from_two_points(plus: int, minus: int, s: int) -> list[int]:
+    """The coefficients of ``P`` with ``plus = P(Y)`` and ``minus = P(-Y)``,
+    ``Y = 2^(4s)``, every one inside the balanced ``s``-byte range: the even
+    and odd halves, the digits of ``P`` at ``Y^2 = 2^(8s)``, decoded and
+    interleaved."""
+    even = decode((plus + minus) >> 1, s)
+    odd = decode((plus - minus) >> (4 * s + 1), s)
     coeffs = [0] * (2 * max(len(even), len(odd)))
     coeffs[: 2 * len(even) : 2], coeffs[1 : 2 * len(odd) : 2] = even, odd
     return coeffs

@@ -252,58 +252,56 @@ def _read(table: RecurrenceTable, k: int) -> _Entry:
     return packed.cut(value, w, bound), packed.digits(value, w), bound
 
 
-def _half_width(a: _Entry, b: _Entry, c: _Entry, d: _Entry, bound: int = 0) -> int:
-    """``h = ceil(w / 2)`` for entries ``A, B, C, D`` (:func:`_read`): ``w``
-    bytes hold every coefficient of ``A B - C D`` and ``bound`` with a sign
-    bit, so ``2h`` bytes hold them as balanced digits.
+def _pair_width(a: _Entry, b: _Entry, c: _Entry, d: _Entry, bound: int = 0) -> int:
+    """``w``, the bytes that hold every coefficient of ``A B - C D`` and
+    ``bound`` as balanced digits, for entries ``A, B, C, D`` (:func:`_read`).
 
     No coefficient of an entry is negative, so every coefficient of ``A B``
     lies in ``0..S(A) S(B)``, and of the difference within ``max(S(A) S(B),
     S(C) S(D))`` in magnitude.
     """
-    return (packed.width(max(a[2] * b[2], c[2] * d[2], bound)) + 1) // 2
+    return packed.width(max(a[2] * b[2], c[2] * d[2], bound))
 
 
 def _packed_cross(
-    a: _Entry, b: _Entry, c: _Entry, d: _Entry, h: int
+    a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: int
 ) -> tuple[int, int]:
     """``A B - C D`` for entries ``A, B, C, D`` (:func:`_read`), evaluated at
-    ``X = 2^(8h)`` and at ``-X``: ``(plus, minus)``.
+    ``Y = 2^(4s)`` and at ``-Y``: ``(plus, minus)``.
 
     This is Harvey's two-point Kronecker substitution: each operand's planes
     are evaluated at both points by :func:`packed.at_two_points`, and four
-    multiplies at half the one-point width give both values.  At ``h`` from
-    :func:`_half_width` the even and odd coefficients of the result are the
-    balanced ``2h``-byte digits of ``(plus + minus) / 2`` and ``(plus -
-    minus) / (2X)``.
+    multiplies at half the one-point width give both values.  At ``s`` from
+    :func:`_pair_width` the even and odd coefficients of the result are the
+    balanced ``s``-byte digits of ``(plus + minus) / 2`` and ``(plus -
+    minus) / (2Y)``.
     """
     (ap, am), (bp, bm), (cp, cm), (dp, dm) = (
-        packed.at_two_points(x[0], h) for x in (a, b, c, d)
+        packed.at_two_points(x[0], s) for x in (a, b, c, d)
     )
     return ap * bp - cp * dp, am * bm - cm * dm
 
 
-def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, s: _Entry) -> list[int]:
-    """Distinct byte widths ``t`` at which ``A B - C D`` and ``S`` are compared
-    in :func:`_decomposition`, each at ``+-2^(8t)``, for entries ``A, B, C,
-    D, S`` (:func:`_read`).
+def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, lhs: _Entry) -> list[int]:
+    """Distinct byte sizes ``s`` of ``Y^2`` at which ``A B - C D`` and ``S``
+    are compared in :func:`_decomposition`, each at ``+-Y = +-2^(4s)``, for
+    entries ``A, B, C, D`` and ``S = lhs`` (:func:`_read`).
 
     They cover ``M = max(S(A) S(B), S(C) S(D)) + S(S)``, the bound on every
-    coefficient of the difference: ``prod (2^(16t) - 1) > M``.  While ``A =
-    E_{m-2}`` at the pair ``h`` of :func:`_half_width` is below
+    coefficient of the difference: ``prod (2^(8s) - 1) > M``.  While ``A =
+    E_{m-2}`` at the pair ``w`` of :func:`_pair_width` is below
     :data:`KARATSUBA_CUTOFF` limbs, the multiplies are schoolbook and cheap
-    next to the writes each further radix makes, so ``h`` alone is taken; it
-    covers ``M`` since ``2^(16h) - 1 >= 2^(8w) - 1 > 2 max(S(A) S(B), S(C)
-    S(D), S(S))``.  Otherwise the largest ``k`` with ``k (k + 1) / 2 <=
-    need = ceil((bits(M) + 1) / 16)`` is taken, split into the ``k`` most
-    nearly equal distinct ``t >= 1`` that sum to ``need``; they cover ``M``
-    since ``prod (2^(16t) - 1) > 2^(16 need - 1) >= 2^bits(M)`` (``prod (1 -
-    2^(-16t)) > 1/2``).
+    next to the writes each further radix makes, so ``w`` alone is taken; it
+    covers ``M`` since ``2^(8w) - 1 > 2 max(S(A) S(B), S(C) S(D), S(S))``.
+    Otherwise the largest ``k`` with ``k (k + 1) / 2 <= need = ceil((bits(M)
+    + 1) / 8)`` is taken, split into the ``k`` most nearly equal distinct
+    ``s >= 1`` that sum to ``need``; they cover ``M`` since ``prod (2^(8s) -
+    1) > 2^(8 need - 1) >= 2^bits(M)`` (``prod (1 - 2^(-8s)) > 1/2``).
     """
-    h = _half_width(a, b, c, d, s[2])
-    if a[1] * h * 8 < KARATSUBA_CUTOFF * 30:
-        return [h]
-    need = ((max(a[2] * b[2], c[2] * d[2]) + s[2]).bit_length() + 16) // 16
+    w = _pair_width(a, b, c, d, lhs[2])
+    if a[1] * w * 4 < KARATSUBA_CUTOFF * 30:
+        return [w]
+    need = ((max(a[2] * b[2], c[2] * d[2]) + lhs[2]).bit_length() + 8) // 8
     k = (isqrt(8 * need + 1) - 1) // 2
     low, extra = divmod(need - k * (k - 1) // 2, k)
     return [low + i + (i >= k - extra) for i in range(k)]
@@ -322,8 +320,8 @@ def wronskian(m: int) -> LaurentPoly:
     d_low, d_m = _read(d, m - 1), _read(d, m)
     e_low, e_m = _read(e, m - 1), _read(e, m)
     cross = [d_low, e_m, d_m, e_low]
-    h = _half_width(*cross)
-    return LaurentPoly(0, packed.from_two_points(*_packed_cross(*cross, h), h))
+    w = _pair_width(*cross)
+    return LaurentPoly(0, packed.from_two_points(*_packed_cross(*cross, w), w))
 
 
 def _decomposition(n: int, m: int) -> bool:
@@ -333,15 +331,16 @@ def _decomposition(n: int, m: int) -> bool:
     By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
     ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, so the check is that ``f``, that
     difference minus ``(-1)^m q^binomial(m, 2) Schur_n``, is zero.  Both are
-    evaluated at ``+-Y`` for ``Y = 2^(8t)`` and each ``t`` of
+    evaluated at ``+-Y`` for ``Y = 2^(4s)`` and each ``s`` of
     :func:`_radices`, which cover ``M``, a bound on every coefficient of
     ``f``: ``prod (Y^2 - 1) > M``.
 
     The check is exact.  If ``f`` vanishes at every ``+-Y``, then ``f =
     prod (q^2 - Y^2) k`` over the integers, since the factors are monic at
-    distinct points.  Dividing ``f = (q^2 - Y^2) g`` out from the lowest
-    coefficient up, ``g_i = (g_{i-2} - f_i) / Y^2``, keeps every ``|g_i|`` at
-    most ``M / (Y^2 - 1)``: ``(M / (Y^2 - 1) + M) / Y^2`` is that bound.  So
+    distinct points: the ``s`` are distinct, and every ``Y >= 16``.
+    Dividing ``f = (q^2 - Y^2) g`` out from the lowest coefficient up, ``g_i
+    = (g_{i-2} - f_i) / Y^2``, keeps every ``|g_i|`` at most ``M / (Y^2 -
+    1)``: ``(M / (Y^2 - 1) + M) / Y^2`` is that bound.  So
     after all the factors ``|k_i| <= M / prod (Y^2 - 1) < 1``, ``k = 0`` and
     ``f = 0``.
 
@@ -359,10 +358,10 @@ def _decomposition(n: int, m: int) -> bool:
     radices = _radices(*cross, lhs)
     shift, sign = comb(m, 2), -1 if m % 2 else 1
     flip = (-1) ** shift  # (-Y)^shift = flip Y^shift
-    for t in radices:
-        plus, minus = _packed_cross(*cross, t)
-        lhs_plus, lhs_minus = packed.at_two_points(lhs[0], t)
-        up = 8 * t * shift
+    for s in radices:
+        plus, minus = _packed_cross(*cross, s)
+        lhs_plus, lhs_minus = packed.at_two_points(lhs[0], s)
+        up = 4 * s * shift
         if plus != sign * lhs_plus << up or minus != flip * sign * lhs_minus << up:
             return False
     return True

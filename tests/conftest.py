@@ -35,8 +35,8 @@ def fresh_products(monkeypatch):
 @pytest.fixture
 def cuts(monkeypatch):
     """``(entries, radices)``: every table entry cut into byte planes
-    (``packed.cut``) during one test, as a ``LaurentPoly``, and the ``t`` of
-    every evaluation of planes at ``+-2^(8t)`` (``packed.at_two_points``), in
+    (``packed.cut``) during one test, as a ``LaurentPoly``, and the ``s`` of
+    every evaluation of planes at ``+-2^(4s)`` (``packed.at_two_points``), in
     order."""
     entries, radices = [], []
     cut, at_two_points = packed.cut, packed.at_two_points
@@ -45,9 +45,9 @@ def cuts(monkeypatch):
         entries.append(LaurentPoly(0, packed.unpack(value, packed.digits(value, w), w)))
         return cut(value, w, bound)
 
-    def spy(planes, t):
-        radices.append(t)
-        return at_two_points(planes, t)
+    def spy(planes, s):
+        radices.append(s)
+        return at_two_points(planes, s)
 
     monkeypatch.setattr(packed, "cut", spy_cut)
     monkeypatch.setattr(packed, "at_two_points", spy)
@@ -57,9 +57,9 @@ def cuts(monkeypatch):
 @pytest.fixture
 def splits(monkeypatch):
     """``(w, to)`` of every evaluation of a product operand's byte planes
-    (``packed.at_two_points`` at ``+-2^(8t)``) made during one test, in
+    (``packed.at_two_points`` at ``+-2^(4s)``) made during one test, in
     order: the planes were cut from digits packed at ``w`` bytes
-    (``packed.cut``) and are written into ``to = 2t``-byte slots."""
+    (``packed.cut``) and are written into ``to = s``-byte slots."""
     calls, widths = [], {}
     cut, at_two_points = packed.cut, packed.at_two_points
 
@@ -68,9 +68,9 @@ def splits(monkeypatch):
         widths[id(planes)] = w
         return planes
 
-    def spy(planes, t):
-        calls.append((widths[id(planes)], 2 * t))
-        return at_two_points(planes, t)
+    def spy(planes, s):
+        calls.append((widths[id(planes)], s))
+        return at_two_points(planes, s)
 
     monkeypatch.setattr(packed, "cut", spy_cut)
     monkeypatch.setattr(packed, "at_two_points", spy)

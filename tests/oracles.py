@@ -18,7 +18,7 @@ whose lowest coefficient is not a unit with :class:`NotInvertibleError`.
 :func:`poly_document`, :func:`qseries_document` and
 :func:`format_series_table` render a whole value at once, as the CLI once
 did; they are the byte oracles of its chunked writers.
-:func:`at_two_points` evaluates a packed table entry at ``+-2^(8h)`` by a
+:func:`at_two_points` evaluates a packed table entry at ``+-2^(4s)`` by a
 strided byte copy of its whole digits at every radix (:func:`restride`); it
 is the oracle of the byte-plane evaluation in :mod:`qschur.packed`.
 """
@@ -240,23 +240,24 @@ def restride(src: bytes, w: int, to: int, step: int) -> list[int]:
     return parts
 
 
-def at_two_points(src: bytes, w: int, bound: int, h: int) -> tuple[int, int]:
-    """``(A(X), A(-X))`` for ``X = 2^(8h)`` from ``A``'s
+def at_two_points(src: bytes, w: int, bound: int, s: int) -> tuple[int, int]:
+    """``(A(Y), A(-Y))`` for ``Y = 2^(4s)`` from ``A``'s
     :func:`packed.to_bytes` at ``w`` bytes, no digit above ``bound``: ``E +-
-    X O``, ``E`` and ``O`` the even and odd digits evaluated at ``X^2``.
+    Y O``, ``E`` and ``O`` the even and odd digits evaluated at ``Y^2 =
+    2^(8s)``.
 
-    A digit takes ``size = width(bound)`` bytes.  When ``2h >= size``, ``E``
-    and ``O`` are the even and odd digits copied to ``2h`` bytes each.  At a
-    narrower ``2h`` the digits overlap, so ``E`` is the sum over ``r < L =
-    ceil(size / 2h)`` of the even digits ``i = r mod L`` at ``2hL`` bytes,
-    shifted by ``16 h r`` bits, and ``O`` likewise.  One strided byte copy at
+    A digit takes ``size = width(bound)`` bytes.  When ``s >= size``, ``E``
+    and ``O`` are the even and odd digits copied to ``s`` bytes each.  At a
+    narrower ``s`` the digits overlap, so ``E`` is the sum over ``r < L =
+    ceil(size / s)`` of the even digits ``i = r mod L`` at ``sL`` bytes,
+    shifted by ``8 s r`` bits, and ``O`` likewise.  One strided byte copy at
     step ``2L`` gives all ``2L`` of them.
     """
-    step = -(-packed.width(bound) // (2 * h))
-    parts = restride(src, w, 2 * h * step, 2 * step)
+    step = -(-packed.width(bound) // s)
+    parts = restride(src, w, s * step, 2 * step)
     even, odd = parts[-2:]
     for r in range(step - 2, -1, -1):
-        even = (even << 16 * h) + parts[2 * r]
-        odd = (odd << 16 * h) + parts[2 * r + 1]
-    odd <<= 8 * h
+        even = (even << 8 * s) + parts[2 * r]
+        odd = (odd << 8 * s) + parts[2 * r + 1]
+    odd <<= 4 * s
     return even + odd, even - odd

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -233,7 +234,7 @@ class TestDeterminantCommand:
         self, capsys, fresh_tables, monkeypatch
     ):
         """``--check`` at ``m <= 8`` compares the decomposition at the one
-        pair ``+-2^(8h)`` of :func:`schur._half_width`, over the benchmark's
+        pair ``+-2^(4w)`` of :func:`schur._pair_width`, over the benchmark's
         ``determinant`` sizes."""
         calls = []
         cross = schur._packed_cross
@@ -253,20 +254,20 @@ class TestDeterminantCommand:
                 d, e = schur._table(0, 1), schur._table(1, 0)
                 reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m))
                 bound = schur._table(0, 1, m)._sum(n)
-                h = schur._half_width(*(schur._read(*r) for r in reads), bound)
-                assert calls == [h], (n, m)
+                w = schur._pair_width(*(schur._read(*r) for r in reads), bound)
+                assert calls == [w], (n, m)
 
     def test_one_shot_commands_read_each_table_at_its_top(
         self, capsys, fresh_tables, monkeypatch
     ):
         """On fresh tables, ``determinant --check`` at ``m = 0..8`` and
-        ``schur-poly`` read every table at its top: no walk goes down more
-        than half the checkpoint spacing, and no table keeps a checkpoint."""
+        ``schur-poly`` read every table at its top: every walk starts at the
+        table's top before it, and no table keeps a checkpoint."""
         walks = []
         walk = schur.RecurrenceTable._walk
 
         def spy(self, a, b, j, k, w):
-            walks.append((j, k))
+            walks.append((self._top, j))
             return walk(self, a, b, j, k, w)
 
         monkeypatch.setattr(schur.RecurrenceTable, "_walk", spy)
@@ -279,8 +280,7 @@ class TestDeterminantCommand:
             walks.clear()
             code, _out, _err = run_cli(capsys, *command, "--format", "json")
             assert code == 0, command
-            down = [j - k for j, k in walks if k < j]
-            assert max(down, default=0) <= schur.CHECKPOINT_SPACING // 2, command
+            assert walks and all(top == j for top, j in walks), command
             assert not any(t._checkpoints for t in schur._tables.values()), command
 
     def test_negative_arguments_rejected(self, capsys):
@@ -333,6 +333,57 @@ class TestJsonDeterminism:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+def _reader_closed(argv: list[str], after: int | None) -> tuple[int, str]:
+    """``(exit code, stderr)`` of a fresh ``qschur`` process whose stdout's
+    reader closes the pipe after ``after`` bytes, as ``| head -c after``
+    does, or before the process starts when ``after`` is None."""
+    command = [sys.executable, "-m", "qschur", *argv]
+    if after is None:
+        read, write = os.pipe()
+        os.close(read)
+        proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, timeout=60)
+        os.close(write)
+        return proc.returncode, proc.stderr.decode()
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert len(proc.stdout.read(after)) == after
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        return proc.wait(timeout=60), err
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early gets exit 141 and no traceback,
+    whichever write or flush meets the closed pipe; exit 1 would read as a
+    mismatch."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schur-poly", "--kind", "D", "--index", "300"],
+            ["product", "--which", "rr1", "--order", "30000"],
+        ],
+        ids=["schur-poly", "product"],
+    )
+    def test_reader_closed_mid_output(self, argv, fmt):
+        code, err = _reader_closed([*argv, "--format", fmt], 10)
+        assert (code, err) == (141, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reader_closed_before_the_write(self, fmt):
+        argv = ["verify", "--m-max", "2", "--order", "5", "--format", fmt]
+        assert _reader_closed(argv, None) == (141, "")
+
+    def test_codes_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "exit codes: 0 all checks passed, 1 a mathematical mismatch" in help_text
+        assert "141 stdout closed early" in help_text
 
 
 def test_module_entry_point_smoke():

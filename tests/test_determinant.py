@@ -217,7 +217,7 @@ class TestDecompose:
     def test_grid_at_either_table_width(self, built, fresh_tables, splits):
         """Shifts 0, 1 and 2 read the zero or constant entries ``D_{-2}``,
         ``E_{-1}`` and ``E_{-2}``.  Built to 300 first, ``D`` and ``E`` entries
-        are narrowed as they are split into the product's half-width digits;
+        are narrowed as they are split into the product's ``s``-byte slots;
         read fresh, first widened (the ``Schur_n`` tables for ``m > 0`` are
         fresh in both runs)."""
         if built:
@@ -251,30 +251,30 @@ class TestDecompose:
     )
     def test_near_miss_at_one_radix_is_caught(self, n, m, fresh_tables):
         """A wrong ``Schur_n``, the right one plus ``c q^k (q^2 - Y^2)`` for
-        one radix ``t`` the check evaluates at, ``Y = 2^(8t)``, agrees with
+        one radix ``s`` the check evaluates at, ``Y = 2^(4s)``, agrees with
         the right one at ``+-Y``, and still fails with the report
         ``compare_polys`` gives.
 
         Where several radices are taken, ``c = 1`` at a coefficient of at
         least ``Y^2`` keeps every coefficient nonnegative and below the
         table's bound, so the same radices are taken.  Where the one pair
-        ``h`` is taken, ``Y^2 = 2^(16h)`` exceeds every coefficient, so ``c =
-        -1`` below the top, and the bound, now above ``2^(16h)``, moves the
+        ``w`` is taken, ``Y^2 = 2^(8w)`` exceeds every coefficient, so ``c =
+        -1`` below the top, and the bound, now above ``2^(8w)``, moves the
         check to other radices."""
         d, e, table = schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, m)
         reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m))
         cross = [schur._read(*r) for r in reads]
         radices = schur._radices(*cross, schur._read(table, n))
         right = table.entry(n)
-        t = radices[0]
-        y2 = 1 << (16 * t)
+        s = radices[0]
+        y2 = 1 << (8 * s)
         if len(radices) > 1:
             c, k = 1, right.coeffs.index(max(right.coeffs))
             assert right.coeffs[k] >= y2
         else:
             c, k = -1, right.degree - 2
         near = monomial(c, k) * (Q * Q - y2)
-        for y in (1 << 8 * t, -(1 << 8 * t)):
+        for y in (1 << 4 * s, -(1 << 4 * s)):
             assert sum(cf * y**i for i, cf in enumerate(near.coeffs, k)) == 0
         wrong = right + near
         assert wrong.min_exp == 0 and min(wrong.coeffs) >= 0
@@ -282,7 +282,7 @@ class TestDecompose:
         stub = _FixedEntry(table, n, wrong, bound)
         schur._tables[(0, 1, m)] = stub
         taken = schur._radices(*cross, schur._read(stub, n))
-        assert (t in taken) == (len(radices) > 1)
+        assert (s in taken) == (len(radices) > 1)
         rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
         assert rhs == right
         expected = compare_polys("decomposition", {"n": n, "m": m}, wrong, rhs)
@@ -314,7 +314,7 @@ class TestDecompose:
         assert report == compare_polys("decomposition", {"n": n, "m": m}, lhs, rhs)
         assert report.passed is not off
 
-    @pytest.mark.parametrize("n, m, count", [(140, 40, 4), (130, 30, 3), (150, 8, 1)])
+    @pytest.mark.parametrize("n, m, count", [(140, 40, 5), (130, 30, 5), (150, 8, 1)])
     def test_each_entry_is_cut_once_whatever_the_radices(
         self, n, m, count, fresh_tables, cuts
     ):
@@ -326,19 +326,21 @@ class TestDecompose:
         cross = [schur_E(m - 2), schur_D(m - 2), schur_D(n + m), schur_E(n + m)]
         assert entries == [*cross, schur_finite(n, m)]
         assert len(set(radices)) == count
-        assert {radices.count(t) for t in radices} == {5}
+        assert {radices.count(s) for s in radices} == {5}
 
     def test_radices_are_distinct_and_cover_the_bound(self, fresh_tables):
         """Over the grid above and the ``decompose`` and ``determinant
         --check`` sizes of the benchmark, the radices are distinct, at least
-        1, and ``prod (2^(16t) - 1)`` exceeds ``M = max(S(A) S(B), S(C) S(D))
+        1, and ``prod (2^(8s) - 1)`` exceeds ``M = max(S(A) S(B), S(C) S(D))
         + S(Schur_n)``; at ``m <= 8`` they are the one pair.
 
-        Every shape takes one of the rule's two cases: the one pair ``h`` of
-        :func:`schur._half_width` exactly when ``A = E_{m-2}`` at radix ``h``
+        Every shape takes one of the rule's two cases: the one pair ``w`` of
+        :func:`schur._pair_width` exactly when ``A = E_{m-2}`` at radix ``w``
         is under ``KARATSUBA_CUTOFF`` limbs, otherwise the largest ``k`` with
         ``k (k + 1) / 2 <= need`` most nearly equal radices summing to
-        ``need``.  Shifts 9 to 19 hold shapes on both sides of the cutoff."""
+        ``need``.  Shifts 9 to 19 hold shapes on both sides of the cutoff:
+        at ``n = 90`` the one pair is taken through ``m = 14``, and at ``n =
+        140`` through ``m = 12``."""
         grid = [
             (n, m) for m in (0, 1, 2, 3, 4, 7, 12, 20, 40) for n in (0, 1, 2, 5, 33, 90)
         ]
@@ -355,22 +357,22 @@ class TestDecompose:
             sa, sb, sc, sd, ss = (t._sum(k) for t, k in reads)
             bound = max(sa * sb, sc * sd) + ss
             assert len(set(radices)) == len(radices) and min(radices) >= 1, (n, m)
-            assert prod((1 << 16 * t) - 1 for t in radices) > bound, (n, m)
-            h = schur._half_width(*entries[:4], ss)
+            assert prod((1 << 8 * s) - 1 for s in radices) > bound, (n, m)
+            w = schur._pair_width(*entries[:4], ss)
             if m <= 8 and n >= 100:
-                assert radices == [h], (n, m)
+                assert radices == [w], (n, m)
             digits = entries[0][1]  # of A = E_{m-2}
-            if digits * h * 8 < schur.KARATSUBA_CUTOFF * 30:
-                assert radices == [h], (n, m)
+            if digits * w * 4 < schur.KARATSUBA_CUTOFF * 30:
+                assert radices == [w], (n, m)
             else:
-                need = (bound.bit_length() + 16) // 16
+                need = (bound.bit_length() + 8) // 8
                 k = max(k for k in range(1, need + 1) if k * (k + 1) // 2 <= need)
                 assert len(radices) == k and sum(radices) == need, (n, m)
                 assert max(radices) - min(radices) <= k, (n, m)
             cases.add((m, len(radices) > 1))
             counts.add(len(radices))
-        assert {1, 2, 3} <= counts
-        assert {(14, False), (16, True)} <= cases
+        assert {1, 3, 4, 5} <= counts
+        assert {(14, False), (15, True), (12, False), (13, True)} <= cases
         # S(Schur_n) carries M = 2^128 - 1 past the 127 bits of the products.
         def entry(digits: int, bound: int) -> schur._Entry:
             return packed.cut(1 << 8 * 17 * (digits - 1), 17, bound), digits, bound
@@ -379,7 +381,7 @@ class TestDecompose:
         zero = packed.cut(0, 1, 0), 0, 0
         radices = schur._radices(a, b, zero, d, entry(7000, 1 << 127))
         assert len(radices) > 1
-        assert prod((1 << 16 * t) - 1 for t in radices) > (1 << 128) - 1
+        assert prod((1 << 8 * s) - 1 for s in radices) > (1 << 128) - 1
 
 
 class _FixedEntry:

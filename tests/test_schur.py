@@ -468,13 +468,13 @@ def _evaluate(coeffs: list[int], bits: int) -> int:
     return _evaluate(coeffs[:mid], bits) + (_evaluate(coeffs[mid:], bits) << bits * mid)
 
 
-def _two_point_values(p: LaurentPoly, h: int) -> tuple[int, int]:
-    """``(P(X), P(-X))`` for ``X = 2^(8h)`` and a polynomial ``P``, from its
+def _two_point_values(p: LaurentPoly, s: int) -> tuple[int, int]:
+    """``(P(Y), P(-Y))`` for ``Y = 2^(4s)`` and a polynomial ``P``, from its
     coefficients directly."""
     assert p.min_exp >= 0
     signs = [(-1) ** (p.min_exp + i) for i in range(len(p.coeffs))]
     return tuple(
-        _evaluate(list(coeffs), 8 * h) << (8 * h * p.min_exp)
+        _evaluate(list(coeffs), 4 * s) << (4 * s * p.min_exp)
         for coeffs in (p.coeffs, map(mul, p.coeffs, signs))
     )
 
@@ -485,10 +485,11 @@ class TestPackedProducts:
     @pytest.mark.parametrize("built", [300, None], ids=["narrowing", "widening"])
     def test_wronskian_matches_laurent_arithmetic(self, built, fresh_tables, splits):
         """Built to 300 first, the tables are read below their tops, walked up
-        from checkpoints packed at their own segments' widths: none is wider
-        than the half-width digits of its products below ``m = 120``, so no
-        split narrows.  Read fresh in ascending order, at the frontier's
-        width, they are narrower, and every split widens."""
+        from checkpoints packed at their own segments' widths: through ``m =
+        5`` these are 2 bytes and the products' slots ``s`` one, so those
+        splits narrow, and no later one does.  Read fresh in ascending
+        order, at the frontier's width, they are narrower, and every split
+        widens."""
         expected = _laurent_wronskians(120)
         fresh_tables()
         if built:
@@ -498,13 +499,14 @@ class TestPackedProducts:
             assert wronskian(m) == expected[m], m
             if m == 0:
                 splits.clear()  # the constant D_{-1} is kept at one byte
-        narrowed = {to < w for w, to in splits if to != w}
+        narrowed = {to < w for w, to in splits[4 * 5 :] if to != w}
         assert len(splits) == 4 * 120 and narrowed == {False}
+        assert {to < w for w, to in splits[: 4 * 5]} == {bool(built)}
 
     def test_wronskian_cuts_each_entry_once(self, fresh_tables, cuts):
         """``wronskian(m)`` cuts each of ``D_{m-1}``, ``D_m``, ``E_{m-1}`` and
         ``E_m`` into byte planes once, and evaluates each set once, at the
-        pair ``+-2^(8h)``."""
+        pair ``+-2^(4s)``."""
         entries, radices = cuts
         for m in (0, 1, 40, 70):
             entries.clear()
@@ -529,10 +531,10 @@ class TestPackedProducts:
             reads = [(rng.randrange(3), rng.randint(-2, 120)) for _ in range(4)]
             a, b, c, d = (plain[t].entry(k) for t, k in reads)
             entries = [schur._read(tables[t], k) for t, k in reads]
-            h = schur._half_width(*entries)
-            plus, minus = schur._packed_cross(*entries, h)
-            assert _two_point_values(a * b - c * d, h) == (plus, minus), reads
-            coeffs = packed.from_two_points(plus, minus, h)
+            s = schur._pair_width(*entries)
+            plus, minus = schur._packed_cross(*entries, s)
+            assert _two_point_values(a * b - c * d, s) == (plus, minus), reads
+            coeffs = packed.from_two_points(plus, minus, s)
             assert LaurentPoly(0, coeffs) == a * b - c * d, reads
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even-count", "odd-count"])
@@ -564,21 +566,42 @@ class TestPackedProducts:
     @settings(max_examples=100)
     @given(st.data())
     def test_two_point_decode(self, parity, top_sign, data):
-        """Signed coefficients inside the balanced ``2h``-byte range, the
-        limits ``+-(2^(16h-1) - 1)`` and zero included, come back exactly from
-        their values at ``+-2^(8h)`` as the direct sums give them; a negative
-        top coefficient borrows from the digit above it."""
-        h = data.draw(st.integers(1, 6))
-        limit = (1 << (16 * h - 1)) - 1
+        """Signed coefficients inside the balanced ``s``-byte range, the
+        limits ``+-(2^(8s-1) - 1)`` and zero included, come back exactly from
+        their values at ``+-2^(4s)`` as the direct sums give them, at odd and
+        even ``s``; a negative top coefficient borrows from the digit above
+        it."""
+        s = data.draw(st.integers(1, 12))
+        limit = (1 << (8 * s - 1)) - 1
         extremes = st.sampled_from([limit, -limit, 0])
         coeff = st.one_of(extremes, st.integers(-limit, limit))
         size = 2 * data.draw(st.integers(0, 15)) + parity
         coeffs = data.draw(st.lists(coeff, min_size=size, max_size=size))
         coeffs.append(top_sign * data.draw(st.integers(1, limit)))
-        plus, minus = _two_point_values(LaurentPoly(0, coeffs), h)
-        got = packed.from_two_points(plus, minus, h)
+        plus, minus = _two_point_values(LaurentPoly(0, coeffs), s)
+        got = packed.from_two_points(plus, minus, s)
         assert got[: len(coeffs)] == coeffs and not any(got[len(coeffs) :])
-        assert not any(packed.from_two_points(0, 0, h))
+        assert not any(packed.from_two_points(0, 0, s))
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even-count", "odd-count"])
+    @settings(max_examples=100)
+    @given(st.integers(0, 6).map(lambda i: 2 * i + 1), st.data())
+    def test_odd_slot_round_trip(self, parity, s, data):
+        """At odd ``s``, where ``Y = 2^(4s)`` is no whole number of bytes,
+        nonnegative digits inside the balanced ``s``-byte range, packed at
+        any wider ``w`` and cut into byte planes, evaluate to the direct sums
+        at ``+-Y`` and decode back from them."""
+        top = (1 << (8 * s - 1)) - 1
+        w = data.draw(st.integers(s, s + 3))
+        size = 2 * data.draw(st.integers(0, 15)) + parity
+        coeff = st.one_of(st.sampled_from([top, 0]), st.integers(0, top))
+        digits = data.draw(st.lists(coeff, min_size=size, max_size=size))
+        planes = packed.cut(packed.pack(digits, w), w, top)
+        y = 1 << (4 * s)
+        expected = tuple(sum(c * x**i for i, c in enumerate(digits)) for x in (y, -y))
+        assert packed.at_two_points(planes, s) == expected
+        got = packed.from_two_points(*expected, s) + [0] * size
+        assert got[:size] == digits and not any(got[size:])
 
     def test_split_of_zero_and_a_single_digit(self):
         assert packed.to_bytes(0, 3) == b""
@@ -587,11 +610,11 @@ class TestPackedProducts:
         assert packed.cut(0, 3, 0) == ([], [])
         assert packed.cut(0x7F, 3, 0x7F) == ([b"\x7f"], [b""])
         assert packed.cut(0x7F, 1, 0x7F) == ([b"\x7f"], [b""])
-        for t in (1, 2):
-            zero = oracles.at_two_points(b"", 3, 0, t)
-            assert packed.at_two_points(packed.cut(0, 3, 0), t) == zero == (0, 0)
-            one = oracles.at_two_points(b"\x7f", 1, 0x7F, t)
-            assert packed.at_two_points(packed.cut(0x7F, 1, 0x7F), t) == one
+        for s in (1, 2, 3, 4):
+            zero = oracles.at_two_points(b"", 3, 0, s)
+            assert packed.at_two_points(packed.cut(0, 3, 0), s) == zero == (0, 0)
+            one = oracles.at_two_points(b"\x7f", 1, 0x7F, s)
+            assert packed.at_two_points(packed.cut(0x7F, 1, 0x7F), s) == one
             assert one == (0x7F, 0x7F)
         # bits(0xFF) is a multiple of 8: one byte plane per parity, though
         # the balanced width is two bytes
@@ -601,21 +624,21 @@ class TestPackedProducts:
             value = packed.pack(digits, w)
             planes = packed.cut(value, w, 0xFF)
             assert [len(half) for half in planes] == [1, 1]
-            for t in (1, 2):
-                y = 1 << (8 * t)
+            for s in (1, 2, 3, 4):
+                y = 1 << (4 * s)
                 expected = tuple(
                     sum(c * x**i for i, c in enumerate(digits)) for x in (y, -y)
                 )
-                assert packed.at_two_points(planes, t) == expected
+                assert packed.at_two_points(planes, s) == expected
                 src = packed.to_bytes(value, w)
-                assert oracles.at_two_points(src, w, 0xFF, t) == expected
+                assert oracles.at_two_points(src, w, 0xFF, s) == expected
 
     def test_evaluation_against_direct_sums(self):
         """``packed.at_two_points`` of ``packed.cut`` against the strided oracle
-        and ``sum(c (+-2^(8t))^i)`` for digits packed at ``w`` bytes that
-        take ``size`` of them, at ``2t`` narrower than, equal to and wider
-        than ``size``, with ``2t`` dividing ``w`` and not; the zero operand,
-        a single digit and odd and even counts included."""
+        and ``sum(c (+-2^(4s))^i)`` for digits packed at ``w`` bytes that
+        take ``size`` of them, at slots ``s`` narrower than, equal to and
+        wider than ``size``, with ``s`` dividing ``w`` and not, odd and even;
+        the zero operand, a single digit and odd and even counts included."""
         rng = random.Random(13)
         seen = set()
         for w in range(1, 24):
@@ -625,29 +648,31 @@ class TestPackedProducts:
                     digits = [rng.randint(0, bound) for _ in range(count)]
                     value = packed.pack(digits, w)
                     src, planes = packed.to_bytes(value, w), packed.cut(value, w, bound)
-                    for t in range(1, w + 2):
-                        y = 1 << (8 * t)
+                    for s in range(1, 2 * w + 3):
+                        y = 1 << (4 * s)
                         expected = tuple(
                             sum(c * x**i for i, c in enumerate(digits))
                             for x in (y, -y)
                         )
-                        assert packed.at_two_points(planes, t) == expected
-                        assert oracles.at_two_points(src, w, bound, t) == expected
+                        assert packed.at_two_points(planes, s) == expected
+                        assert oracles.at_two_points(src, w, bound, s) == expected
                         seen.add(("digits", min(count, 2 + count % 2)))
-                        seen.add(("2t vs size", (2 * t > size) - (2 * t < size)))
-                        seen.add(("2t divides w", w % (2 * t) == 0))
+                        seen.add(("s vs size", (s > size) - (s < size)))
+                        seen.add(("s divides w", w % s == 0))
+                        seen.add(("s odd", s % 2 == 1))
         assert seen == {
             *(("digits", k) for k in range(4)),
-            *(("2t vs size", k) for k in (-1, 0, 1)),
-            *(("2t divides w", k) for k in (False, True)),
+            *(("s vs size", k) for k in (-1, 0, 1)),
+            *(("s divides w", k) for k in (False, True)),
+            *(("s odd", k) for k in (False, True)),
         }
 
     def test_cross_against_laurent_arithmetic(self, fresh_tables):
         """``_packed_cross`` against ``A B - C D`` in ``LaurentPoly``
-        arithmetic, at both points and read back, over reads where ``2h`` is
-        the product width ``w`` and where it is ``w + 1``, every Wronskian
-        (whose even or odd half is all zero), and zero factors ``D_{-2}`` and
-        ``E_{-1}``."""
+        arithmetic, at both points and read back, at ``s`` the product width
+        ``w``, over reads where ``w`` is even and where it is odd, every
+        Wronskian (whose even or odd half is all zero), and zero factors
+        ``D_{-2}`` and ``E_{-1}``."""
         d, e, s = schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, 5)
         reads = [[(d, m - 1), (e, m), (d, m), (e, m - 1)] for m in range(0, 90)]
         reads += [
@@ -667,13 +692,14 @@ class TestPackedProducts:
             a, b, c, dd = (t.entry(k) for t, k in four)
             expected = a * b - c * dd
             entries = [schur._read(t, k) for t, k in four]
-            h = schur._half_width(*entries)
-            plus, minus = schur._packed_cross(*entries, h)
+            s = schur._pair_width(*entries)
+            plus, minus = schur._packed_cross(*entries, s)
             sums = [t._sum(k) for t, k in four]
             w = packed.width(max(sums[0] * sums[1], sums[2] * sums[3]))
-            widths.add(2 * h - w)
-            assert _two_point_values(expected, h) == (plus, minus), four
-            coeffs = packed.from_two_points(plus, minus, h)
+            assert s == w, four
+            widths.add(w % 2)
+            assert _two_point_values(expected, s) == (plus, minus), four
+            coeffs = packed.from_two_points(plus, minus, s)
             assert LaurentPoly(0, coeffs) == expected, four
             if not expected.is_zero():
                 zero_halves.add((plus + minus == 0, plus - minus == 0))
