@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import packed
 from .determinant import (
@@ -26,7 +26,7 @@ from .determinant import (
     schur_finite,
     schur_finite_direct,
 )
-from .identities import rr_product_first, rr_product_second, verify_gis
+from .identities import _refuse_gis, rr_product_first, rr_product_second, verify_gis
 from .reports import VerificationReport, compare_polys
 from .schur import TooLargeError, _table
 from .series import _sum_notation
@@ -109,27 +109,16 @@ def _emit_report(report: VerificationReport, fmt: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        return _usage_error("--order must be >= 0")
-    if args.m_min < 0:
-        return _usage_error("--m-min must be >= 0")
     if args.m_min > args.m_max:
         return _usage_error("--m-min must not exceed --m-max")
-    # Descending m, so a shift refused for size is refused before any work.
-    # Reports print ascending.
-    reports = {
-        m: verify_gis(m, args.order) for m in range(args.m_max, args.m_min - 1, -1)
-    }
-    any_failed = False
-    for m in range(args.m_min, args.m_max + 1):
-        _emit_report(reports[m], args.format)
-        any_failed = any_failed or not reports[m].passed
-    return 1 if any_failed else 0
+    _refuse_gis(args.m_max, args.order)  # covers every shift up to --m-max
+    reports = [verify_gis(m, args.order) for m in range(args.m_min, args.m_max + 1)]
+    for report in reports:
+        _emit_report(report, args.format)
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def cmd_schur_poly(args: argparse.Namespace) -> int:
-    if args.index < -2:
-        return _usage_error("--index must be >= -2")
     table = _table(0, 1) if args.kind == "D" else _table(1, 0)
     entry = table.decodable(args.index)
     _write(_entry_pieces(f"{args.kind}_{args.index}", entry, args.format))
@@ -137,8 +126,6 @@ def cmd_schur_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        return _usage_error("--order must be >= 0")
     product = rr_product_first if args.which == "rr1" else rr_product_second
     series = product(args.order)
     chunks = _slices(series.coeffs)
@@ -150,10 +137,6 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_determinant(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        return _usage_error("--n must be >= 0")
-    if args.m < 0:
-        return _usage_error("--m must be >= 0")
     # Every result is computed before the first write (see main).
     entry = _table(0, 1, args.m).decodable(args.n)  # Schur_n, as schur_finite
     reports: list[VerificationReport] = []
@@ -186,6 +169,20 @@ def cmd_determinant(args: argparse.Namespace) -> int:
     return 1 if any(not r.passed for r in reports) else 0
 
 
+def _int_ge(low: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer ``>= low``.  A value below it is a
+    usage error that names the option; a non-integer still reads ``invalid
+    int value``."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qschur",
@@ -198,44 +195,41 @@ def build_parser() -> argparse.ArgumentParser:
         "usage error or a request refused for size, 141 stdout closed early",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
+    natural = _int_ge(0)
 
     p_verify = sub.add_parser(
         "verify", help="verify the identity over a range of shifts m"
     )
-    p_verify.add_argument("--m-min", type=int, default=DEFAULT_M_MIN)
+    p_verify.add_argument("--m-min", type=natural, default=DEFAULT_M_MIN)
     p_verify.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
     p_verify.add_argument(
-        "--order", type=int, default=DEFAULT_VERIFY_ORDER, help="truncation order"
+        "--order", type=natural, default=DEFAULT_VERIFY_ORDER, help="truncation order"
     )
-    add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_poly = sub.add_parser("schur-poly", help="print a Schur polynomial")
     p_poly.add_argument("--kind", choices=("D", "E"), required=True)
-    p_poly.add_argument("--index", type=int, required=True, help="index >= -2")
-    add_format(p_poly)
+    p_poly.add_argument("--index", type=_int_ge(-2), required=True, help="index >= -2")
     p_poly.set_defaults(func=cmd_schur_poly)
 
     p_product = sub.add_parser(
         "product", help="print a truncated Rogers-Ramanujan product"
     )
     p_product.add_argument("--which", choices=("rr1", "rr2"), required=True)
-    p_product.add_argument("--order", type=int, required=True)
-    add_format(p_product)
+    p_product.add_argument("--order", type=natural, required=True)
     p_product.set_defaults(func=cmd_product)
 
     p_det = sub.add_parser("determinant", help="print a finite Schur determinant")
-    p_det.add_argument("--n", type=int, required=True, help="matrix size minus one")
-    p_det.add_argument("--m", type=int, required=True, help="superdiagonal shift")
+    p_det.add_argument("--n", type=natural, required=True, help="matrix size minus one")
+    p_det.add_argument("--m", type=natural, required=True, help="superdiagonal shift")
     check = "also run the cofactor oracle and the decomposition check"
     p_det.add_argument("--check", action="store_true", help=check)
-    add_format(p_det)
     p_det.set_defaults(func=cmd_determinant)
+
+    for p in (p_verify, p_poly, p_product, p_det):
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
 
     return parser
 
@@ -243,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    Every command computes all its results before it prints any of them, so
+    The parser checks every option's range (:func:`_int_ge`) and exits 2
+    itself, with its usage line, before any command runs.  Every command
+    computes all its results before it prints any of them, so
     a request refused for size (:class:`TooLargeError`) leaves stdout empty;
     it is reported here, once for all commands, as a usage error on stderr
     with exit 2.  A reader that closes stdout early (``BrokenPipeError``,

@@ -26,7 +26,8 @@ from math import comb, isqrt
 
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
-from .schur import _check_budget, _lock, lambda_coeff, mu_coeff, schur_D, schur_E
+from .schur import _check_budget, _lock, _table, lambda_coeff, mu_coeff
+from .schur import schur_D, schur_E
 from .series import QSeries, poly_to_series
 
 __all__ = [
@@ -58,20 +59,41 @@ def _product_bytes(order: int) -> int:
     return 36 * n + -(-2 * bits // 15)
 
 
+def _check_product(top: int) -> None:
+    """Refuse a product through ``q^top`` whose list :func:`_product_bytes`
+    puts over the budget with :class:`~qschur.schur.TooLargeError`."""
+    _check_budget(_product_bytes(top), f"a Rogers-Ramanujan product through q^{top}")
+
+
+def _refuse_gis(m: int, order: int) -> None:
+    """Raise, before anything is built, the
+    :class:`~qschur.schur.TooLargeError` that :func:`gis_rhs` or
+    :func:`verify_gis` would raise at ``order`` and any shift up to ``m``.
+
+    Each bound grows with the shift, so the check at ``m`` covers every
+    smaller one.  The tables are ``D`` and ``E`` through ``m - 2``, and
+    wherever ``D``'s :meth:`~qschur.schur.RecurrenceTable.footprint` is
+    within the budget ``E``'s is no larger, so ``D``'s is checked alone.
+    The products run through ``order + binomial(m, 2)``.  ``lambda(m)``
+    and ``mu(m)`` each unpack one entry, far smaller than its table's
+    footprint, so the decode budget never refuses first.
+    """
+    _table(0, 1)._check(m - 2)
+    _check_product(order + comb(m, 2))
+
+
 def _rr_product(r: int, order: int) -> QSeries:
     """``P_r`` through ``q^order``, computing only the coefficients not yet held.
 
     By the Jacobi triple product ``P_r (q;q)_inf`` is the theta series
     ``sum_n (-1)^n q^(5n(n-1)/2 + (3-r)n)``, so Euler's pentagonal theorem gives
     ``c_k = theta_k + sum_{j>=1} (-1)^(j+1) (c_{k-j(3j-1)/2} + c_{k-j(3j+1)/2})``.
-    An order whose list :func:`_product_bytes` puts over the budget of
-    :data:`~qschur.schur.TABLE_BUDGET_BYTES` raises
+    An order over the budget (:func:`_check_product`) raises
     :class:`~qschur.schur.TooLargeError` before anything is built.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    what = f"a Rogers-Ramanujan product through q^{order}"
-    _check_budget(_product_bytes(order), what)
+    _check_product(order)
     c = _products[r]
     if len(c) <= order:
         with _lock:
@@ -108,22 +130,22 @@ def gis_rhs(m: int, order: int) -> QSeries:
 
     A nonzero ``lambda(m)`` or ``mu(m)`` has its lowest term at
     ``q^(-binomial(m, 2))``, so with both products through
-    ``order + binomial(m, 2)`` each term is exact through ``order``.
-
-    ``mu(m)`` is built first: it reads ``D_{m-2}``, whose table leaves the
-    budget one index before ``E``'s, so an over-budget shift raises
-    :class:`TooLargeError` before ``E`` or any series is built.
+    ``order + binomial(m, 2)`` each term is exact through ``order``.  An
+    over-budget request raises :class:`TooLargeError` (:func:`_refuse_gis`)
+    before any table or series is built.
     """
     if m < 0 or order < 0:
         raise ValueError(f"gis_rhs requires m, order >= 0, got ({m}, {order})")
-    mu = mu_coeff(m)
-    top = order + comb(m, 2)
-    return rr_product_first(top) * lambda_coeff(m) + rr_product_second(top) * mu
+    _refuse_gis(m, order)
+    k = order + comb(m, 2)
+    return rr_product_first(k) * lambda_coeff(m) + rr_product_second(k) * mu_coeff(m)
 
 
 def verify_gis(m: int, order: int) -> VerificationReport:
-    """Compare both sides of the identity coefficient by coefficient."""
-    rhs = gis_rhs(m, order)  # first: it refuses an over-budget m at once
+    """Compare both sides of the identity coefficient by coefficient; the
+    product side is built first, so an over-budget request is refused
+    (:func:`gis_rhs`) before the sum side is built."""
+    rhs = gis_rhs(m, order)
     lhs = schur_x1_series(m, order)
     return compare_series("gis", {"m": m, "order": order}, lhs, rhs, order)
 

@@ -192,11 +192,17 @@ class RecurrenceTable:
             a, b = b, b + (a << bits * (i + shift))
         return a, b
 
+    def _check(self, n: int) -> None:
+        """Refuse a build through ``n`` whose :meth:`footprint` is over the
+        budget with :class:`TooLargeError`, before any entry is built."""
+        _check_budget(self.footprint(n), f"a recurrence table through index {n}")
+
     def _extend(self, n: int) -> None:
         """Repack the frontier at the width every entry through ``n`` needs
         (:func:`packed.rewidth` keeps it when that is its width) and walk it
-        up to ``n``; caller holds :data:`_lock`."""
-        _check_budget(self.footprint(n), f"a recurrence table through index {n}")
+        up to ``n``, once :meth:`_check` admits it; caller holds
+        :data:`_lock`."""
+        self._check(n)
         w = packed.width(self._sum(n))
         a, b = (packed.rewidth(x, self._w, w) for x in self._frontier)
         self._frontier = self._walk(a, b, self._top, n, w)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur import schur
 from qschur.cli import canonical_json, main
@@ -19,6 +23,15 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_rejected(capsys, *argv: str) -> tuple[int, str, str]:
+    """``run_cli`` for a request the parser rejects: ``main`` exits through
+    ``SystemExit``, whose code is returned."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def _assert_refused_fast(*argv: str) -> None:
@@ -50,19 +63,20 @@ class TestVerifyCommand:
         ]
 
     def test_negative_order_is_usage_error(self, capsys):
-        code, out, err = run_cli(
+        code, out, err = run_rejected(
             capsys, "verify", "--m-min", "0", "--m-max", "0", "--order", "-1"
         )
         assert code == 2
         assert out == ""
-        assert "order" in err
+        assert "argument --order: must be >= 0" in err
 
     def test_m_range_validation(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--m-min", "4", "--m-max", "2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "verify", "--m-min", "4", "--m-max", "2")
+        assert (code, out) == (2, "")
         assert "m-min" in err
-        code, _, err = run_cli(capsys, "verify", "--m-min", "-1")
-        assert code == 2
+        code, out, err = run_rejected(capsys, "verify", "--m-min", "-1")
+        assert (code, out) == (2, "")
+        assert "argument --m-min: must be >= 0" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -98,9 +112,11 @@ class TestSchurPolyCommand:
         assert out.strip() == "1 + q + q^2 + q^3 + q^4"
 
     def test_index_below_extension(self, capsys):
-        code, _, err = run_cli(capsys, "schur-poly", "--kind", "D", "--index", "-3")
-        assert code == 2
-        assert "index" in err
+        code, out, err = run_rejected(
+            capsys, "schur-poly", "--kind", "D", "--index", "-3"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --index: must be >= -2" in err
 
     def test_json_document(self, capsys):
         code, out, _ = run_cli(
@@ -172,9 +188,11 @@ class TestProductCommand:
         assert canonical_json(obj) == line
 
     def test_negative_order_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "product", "--which", "rr1", "--order", "-2")
-        assert code == 2
-        assert "order" in err
+        code, out, err = run_rejected(
+            capsys, "product", "--which", "rr1", "--order", "-2"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --order: must be >= 0" in err
 
     def test_over_budget_order_refused_fast(self):
         """A fresh process refuses order 10^7 from the size bound on the
@@ -260,9 +278,10 @@ class TestDeterminantCommand:
     def test_one_shot_commands_read_each_table_at_its_top(
         self, capsys, fresh_tables, monkeypatch
     ):
-        """On fresh tables, ``determinant --check`` at ``m = 0..8`` and
-        ``schur-poly`` read every table at its top: every walk starts at the
-        table's top before it, and no table keeps a checkpoint."""
+        """On fresh tables, ``determinant --check`` at ``m = 0..8``,
+        ``schur-poly`` and multi-shift ``verify`` read every table at its top:
+        every walk starts at the table's top before it, and no table keeps a
+        checkpoint."""
         walks = []
         walk = schur.RecurrenceTable._walk
 
@@ -275,6 +294,10 @@ class TestDeterminantCommand:
             ("determinant", "--n", "120", "--m", str(m), "--check") for m in range(9)
         ]
         commands += [("schur-poly", "--kind", kind, "--index", "160") for kind in "DE"]
+        commands += [
+            ("verify", "--m-min", "0", "--m-max", "30", "--order", "40"),
+            ("verify", "--m-min", "100", "--m-max", "103", "--order", "10"),
+        ]
         for command in commands:
             fresh_tables()
             walks.clear()
@@ -284,8 +307,12 @@ class TestDeterminantCommand:
             assert not any(t._checkpoints for t in schur._tables.values()), command
 
     def test_negative_arguments_rejected(self, capsys):
-        assert run_cli(capsys, "determinant", "--n", "-1", "--m", "0")[0] == 2
-        assert run_cli(capsys, "determinant", "--n", "0", "--m", "-1")[0] == 2
+        code, out, err = run_rejected(capsys, "determinant", "--n", "-1", "--m", "0")
+        assert (code, out) == (2, "")
+        assert "argument --n: must be >= 0" in err
+        code, out, err = run_rejected(capsys, "determinant", "--n", "0", "--m", "-1")
+        assert (code, out) == (2, "")
+        assert "argument --m: must be >= 0" in err
 
 
     def test_over_budget_refused_with_empty_stdout(self, capsys, fresh_tables):
@@ -366,8 +393,9 @@ class TestClosedPipe:
         [
             ["schur-poly", "--kind", "D", "--index", "300"],
             ["product", "--which", "rr1", "--order", "30000"],
+            ["determinant", "--n", "300", "--m", "8", "--check"],
         ],
-        ids=["schur-poly", "product"],
+        ids=["schur-poly", "product", "determinant"],
     )
     def test_reader_closed_mid_output(self, argv, fmt):
         code, err = _reader_closed([*argv, "--format", fmt], 10)
@@ -384,6 +412,73 @@ class TestClosedPipe:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "exit codes: 0 all checks passed, 1 a mathematical mismatch" in help_text
         assert "141 stdout closed early" in help_text
+
+
+#: Each command's options: an integer option's ``(low, high, over)``, where
+#: ``low..high`` is accepted and small, so an example takes milliseconds, and
+#: ``over`` is refused for size; a choice option's choices; ``None`` for a
+#: flag.
+_GRAMMAR = {
+    "verify": {
+        "--m-min": (0, 4, 1000),
+        "--m-max": (0, 6, 1000),
+        "--order": (0, 40, 10**7),
+    },
+    "schur-poly": {"--kind": ["D", "E"], "--index": (-2, 40, 10**5)},
+    "product": {"--which": ["rr1", "rr2"], "--order": (0, 60, 10**7)},
+    "determinant": {"--n": (0, 20, 10**5), "--m": (0, 8, 10**9), "--check": None},
+}
+
+#: What an option gets: mostly a valid value, else one way to be wrong.
+_KINDS = ["valid"] * 3 + ["absent", "below", "non-integer", "huge", "over budget"]
+
+
+@st.composite
+def _argv(draw, command: str) -> list[str]:
+    """A command line for ``command`` from :data:`_GRAMMAR` and
+    :data:`_KINDS`, then an output format, a bad one or none."""
+    argv = [command]
+    for option, values in _GRAMMAR[command].items():
+        kind = draw(st.sampled_from(_KINDS))
+        if kind == "absent":
+            continue
+        if values is None:
+            argv.append(option)
+        elif isinstance(values, list):
+            wrong = kind == "non-integer"
+            argv += [option, "F" if wrong else draw(st.sampled_from(values))]
+        else:
+            low, high, over = values
+            value = {
+                "valid": st.integers(low, high).map(str),
+                "below": st.integers(low - 3, low - 1).map(str),
+                "non-integer": st.sampled_from(["x", "1.5", "", "0x10", "1e3"]),
+                "huge": st.sampled_from([str(10**20), str(-(10**20))]),
+                "over budget": st.just(str(over)),
+            }[kind]
+            argv += [option, draw(value)]
+    formats = [[], ["--format", "json"], ["--format", "text"], ["--format", "xml"]]
+    return argv + draw(st.sampled_from(formats))
+
+
+@pytest.mark.parametrize("command", sorted(_GRAMMAR))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_command_line_keeps_the_exit_code_contract(command, data):
+    """Exit 0, 1 or 2, with no traceback, and stdout empty unless the code is
+    0 or 1, for valid, negative, non-integer, huge and over-budget values.
+    In process, an exception that escapes ``main`` fails the example, as its
+    traceback would in a fresh process."""
+    argv = data.draw(_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert code in (0, 1) or out.getvalue() == "", argv
 
 
 def test_module_entry_point_smoke():

@@ -809,6 +809,15 @@ class TestTableBudget:
         d = RecurrenceTable(0, 1)
         assert d.footprint(400) <= TABLE_BUDGET_BYTES < d.footprint(500)
 
+    def test_e_fits_wherever_d_fits(self):
+        """``E``'s footprint is at most ``D``'s at every index where ``D``'s is
+        within the budget, so a pre-flight that checks ``D``'s table alone
+        (``identities._refuse_gis``) covers ``E``'s.  Integers only."""
+        d, e = RecurrenceTable(0, 1), RecurrenceTable(1, 0)
+        fits = [k for k in range(-2, 1201) if d.footprint(k) <= TABLE_BUDGET_BYTES]
+        assert len(fits) > 400
+        assert all(e.footprint(k) <= d.footprint(k) for k in fits)
+
     def test_huge_index_stops_early(self):
         """The scan for an index far past the budget stops within a few
         hundred steps instead of running to the index."""
