@@ -119,8 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schur_poly(args: argparse.Namespace) -> int:
-    table = _table(0, 1) if args.kind == "D" else _table(1, 0)
-    entry = table.decodable(args.index)
+    entry = _table(args.kind).decodable(args.index)
     _write(_entry_pieces(f"{args.kind}_{args.index}", entry, args.format))
     return 0
 
@@ -138,35 +137,24 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 def cmd_determinant(args: argparse.Namespace) -> int:
     # Every result is computed before the first write (see main).
-    entry = _table(0, 1, args.m).decodable(args.n)  # Schur_n, as schur_finite
-    reports: list[VerificationReport] = []
-    oracle = args.n <= DIRECT_ORACLE_MAX_N
-    if args.check:
-        decomposition = decompose(args.n, args.m)
-        if oracle:
-            poly = schur_finite(args.n, args.m)
-            direct = schur_finite_direct(args.n, args.m)
-            params = {"n": args.n, "m": args.m}
-            reports.append(compare_polys("oracle", params, poly, direct))
-        reports.append(decomposition)
-
-    label = f"Schur_{args.n}(m={args.m})"
-    _write(_entry_pieces(label, entry, args.format))
-    if not args.check:
-        return 0
-    if not oracle:
-        print(
-            f"notice: direct cofactor oracle skipped for n={args.n} > "
-            f"{DIRECT_ORACLE_MAX_N}",
-            file=sys.stderr,
-        )
-    if args.format == "json":
+    n, m, fmt = args.n, args.m, args.format
+    entry = _table("D", m).decodable(n)  # Schur_n, as schur_finite
+    reports = [decompose(n, m)] if args.check else []
+    oracle = args.check and n <= DIRECT_ORACLE_MAX_N
+    if oracle:
+        poly, direct = schur_finite(n, m), schur_finite_direct(n, m)
+        reports.insert(0, compare_polys("oracle", {"n": n, "m": m}, poly, direct))
+    _write(_entry_pieces(f"Schur_{n}(m={m})", entry, fmt))
+    if args.check and not oracle:
+        skipped = f"n={n} > {DIRECT_ORACLE_MAX_N}"
+        print(f"notice: direct cofactor oracle skipped for {skipped}", file=sys.stderr)
+    if fmt == "json":
         for report in reports:
-            _emit_report(report, args.format)
-    else:
-        oracle_status = reports[0].status if oracle else "skipped"
-        print(f"oracle: {oracle_status}, decompose: {decomposition.status}")
-    return 1 if any(not r.passed for r in reports) else 0
+            _emit_report(report, fmt)
+    elif args.check:
+        status = reports[0].status if oracle else "skipped"
+        print(f"oracle: {status}, decompose: {reports[-1].status}")
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _int_ge(low: int) -> Callable[[str], int]:

@@ -60,7 +60,7 @@ def schur_finite(n: int, m: int) -> LaurentPoly:
     """
     if n < 0 or m < 0:
         raise ValueError(f"schur_finite requires n, m >= 0, got ({n}, {m})")
-    return _table(0, 1, m).entry(n)
+    return _table("D", m).entry(n)
 
 
 def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:

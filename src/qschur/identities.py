@@ -78,7 +78,7 @@ def _refuse_gis(m: int, order: int) -> None:
     and ``mu(m)`` each unpack one entry, far smaller than its table's
     footprint, so the decode budget never refuses first.
     """
-    _table(0, 1)._check(m - 2)
+    _table("D")._check(m - 2)
     _check_product(order + comb(m, 2))
 
 

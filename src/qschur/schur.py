@@ -210,19 +210,19 @@ class RecurrenceTable:
         self._top = n
 
 
-_tables: dict[tuple[int, int, int], RecurrenceTable] = {}  # in order of last use
+#: Each family's constants ``(X_{-2}, X_{-1})``: ``D`` and ``E`` at shift 0,
+#: and ``Schur_n`` for shift ``m`` is ``D`` at shift ``m``.
+_FAMILIES = {"D": (0, 1), "E": (1, 0)}
+
+_tables: dict[tuple[str, int], RecurrenceTable] = {}  # in order of last use
 
 
-def _table(x_minus2: int, x_minus1: int, shift: int = 0) -> RecurrenceTable:
-    """The table with these constants and shift, now the most recently used of
-    at most :data:`TABLES_MAX`.
-
-    ``D`` is ``(0, 1, 0)``, ``E`` is ``(1, 0, 0)`` and ``Schur_n`` for shift
-    ``m`` is ``(0, 1, m)``, so ``Schur_n`` at ``m = 0`` is ``D``'s table.
-    """
-    key = (x_minus2, x_minus1, shift)
+def _table(family: str, shift: int = 0) -> RecurrenceTable:
+    """The table of ``family`` (:data:`_FAMILIES`) at ``shift``, now the most
+    recently used of at most :data:`TABLES_MAX`."""
+    key = (family, shift)
     with _lock:
-        table = _tables.pop(key, None) or RecurrenceTable(*key)
+        table = _tables.pop(key, None) or RecurrenceTable(*_FAMILIES[family], shift)
         _tables[key] = table
         if len(_tables) > TABLES_MAX:
             del _tables[next(iter(_tables))]
@@ -232,12 +232,12 @@ def _table(x_minus2: int, x_minus1: int, shift: int = 0) -> RecurrenceTable:
 def schur_D(m: int) -> LaurentPoly:
     """``D_m`` for ``m >= -2``: recursion ``D_m = D_{m-1} + q^m D_{m-2}`` from
     ``D_0=1, D_1=1+q``."""
-    return _table(0, 1).entry(m)
+    return _table("D").entry(m)
 
 
 def schur_E(m: int) -> LaurentPoly:
     """``E_m`` for ``m >= -2``: same recursion from ``E_0 = E_1 = 1``."""
-    return _table(1, 0).entry(m)
+    return _table("E").entry(m)
 
 
 #: Limbs (30-bit digits) at or below which CPython multiplies integers by the
@@ -322,7 +322,7 @@ def wronskian(m: int) -> LaurentPoly:
     """
     if m < 0:
         raise IndexError(f"wronskian requires m >= 0, got {m}")
-    d, e = _table(0, 1), _table(1, 0)
+    d, e = _table("D"), _table("E")
     d_low, d_m = _read(d, m - 1), _read(d, m)
     e_low, e_m = _read(e, m - 1), _read(e, m)
     cross = [d_low, e_m, d_m, e_low]
@@ -334,12 +334,12 @@ def _decomposition(n: int, m: int) -> bool:
     """Whether ``lambda(m) D_{n+m} + mu(m) E_{n+m}`` equals ``Schur_n`` for
     shift ``m``, decided on the packed table entries.
 
-    By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))`` times
-    ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, so the check is that ``f``, that
-    difference minus ``(-1)^m q^binomial(m, 2) Schur_n``, is zero.  Both are
-    evaluated at ``+-Y`` for ``Y = 2^(4s)`` and each ``s`` of
-    :func:`_radices`, which cover ``M``, a bound on every coefficient of
-    ``f``: ``prod (Y^2 - 1) > M``.
+    By the closed forms the sum is ``(-1)^m q^(-binomial(m, 2))``
+    (:func:`_factor`) times ``E_{m-2} D_{n+m} - D_{m-2} E_{n+m}``, so the
+    check is that ``f``, that difference minus ``(-1)^m q^binomial(m, 2)
+    Schur_n``, is zero.  Both are evaluated at ``+-Y`` for ``Y = 2^(4s)``
+    and each ``s`` of :func:`_radices`, which cover ``M``, a bound on every
+    coefficient of ``f``: ``prod (Y^2 - 1) > M``.
 
     The check is exact.  If ``f`` vanishes at every ``+-Y``, then ``f =
     prod (q^2 - Y^2) k`` over the integers, since the factors are monic at
@@ -357,12 +357,12 @@ def _decomposition(n: int, m: int) -> bool:
     built by :func:`~qschur.determinant.decompose` in :class:`LaurentPoly`
     arithmetic, which shares no code with this check.
     """
-    schur_n, d, e = _table(0, 1, m), _table(0, 1), _table(1, 0)
+    sign, shift = _factor(m, "_decomposition")
+    schur_n, d, e = _table("D", m), _table("D"), _table("E")
     e_low, d_low = _read(e, m - 2), _read(d, m - 2)
     cross = [e_low, _read(d, n + m), d_low, _read(e, n + m)]
     lhs = _read(schur_n, n)
     radices = _radices(*cross, lhs)
-    shift, sign = comb(m, 2), -1 if m % 2 else 1
     flip = (-1) ** shift  # (-Y)^shift = flip Y^shift
     for s in radices:
         plus, minus = _packed_cross(*cross, s)
@@ -373,15 +373,22 @@ def _decomposition(n: int, m: int) -> bool:
     return True
 
 
+def _factor(m: int, caller: str) -> tuple[int, int]:
+    """``((-1)^m, binomial(m, 2))``, the sign and the exponent of the factor
+    ``(-1)^m q^(-binomial(m, 2))`` that ``lambda(m)`` and ``-mu(m)`` share;
+    raises :class:`IndexError`, naming ``caller``, for ``m < 0``."""
+    if m < 0:
+        raise IndexError(f"{caller} requires m >= 0, got {m}")
+    return -1 if m % 2 else 1, comb(m, 2)
+
+
 def lambda_coeff(m: int) -> LaurentPoly:
     """Coefficient of ``D_{n+m}`` in the finite-determinant decomposition.
 
     Closed form ``(-1)^m q^(-binomial(m, 2)) E_{m-2}``.
     """
-    if m < 0:
-        raise IndexError(f"lambda_coeff requires m >= 0, got {m}")
-    sign = -1 if m % 2 else 1
-    return monomial(sign, -comb(m, 2)) * schur_E(m - 2)
+    sign, shift = _factor(m, "lambda_coeff")
+    return monomial(sign, -shift) * schur_E(m - 2)
 
 
 def mu_coeff(m: int) -> LaurentPoly:
@@ -389,7 +396,5 @@ def mu_coeff(m: int) -> LaurentPoly:
 
     Closed form ``(-1)^(m+1) q^(-binomial(m, 2)) D_{m-2}``.
     """
-    if m < 0:
-        raise IndexError(f"mu_coeff requires m >= 0, got {m}")
-    sign = 1 if m % 2 else -1
-    return monomial(sign, -comb(m, 2)) * schur_D(m - 2)
+    sign, shift = _factor(m, "mu_coeff")
+    return monomial(-sign, -shift) * schur_D(m - 2)

@@ -269,9 +269,9 @@ class TestDeterminantCommand:
                     capsys, "determinant", "--n", str(n), "--m", str(m), "--check"
                 )
                 assert code == 0 and out.endswith("decompose: pass\n"), (n, m)
-                d, e = schur._table(0, 1), schur._table(1, 0)
+                d, e = schur._table("D"), schur._table("E")
                 reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m))
-                bound = schur._table(0, 1, m)._sum(n)
+                bound = schur._table("D", m)._sum(n)
                 w = schur._pair_width(*(schur._read(*r) for r in reads), bound)
                 assert calls == [w], (n, m)
 

@@ -197,5 +197,5 @@ def test_rendering_holds_a_bounded_multiple_of_the_packed_entry(
         finally:
             tracemalloc.stop()
     assert code == 0
-    entry = sys.getsizeof(schur._table(0, 1, m).packed(1)[0])
+    entry = sys.getsizeof(schur._table("D", m).packed(1)[0])
     assert peak <= 3 * entry + (1 << 20)

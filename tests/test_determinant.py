@@ -18,8 +18,10 @@ from qschur.determinant import (
     schur_finite_direct,
     schur_x1_series,
 )
+from qschur.identities import gis_rhs
 from qschur.reports import compare_polys, compare_series
 from qschur.schur import RecurrenceTable, lambda_coeff, mu_coeff, schur_D, schur_E
+from qschur.schur import wronskian
 from qschur.series import ONE, LaurentPoly, Q, monomial, poly_to_series
 
 from .oracles import partitions_max_part, sum_side_coefficients
@@ -55,22 +57,22 @@ class TestSchurFinite:
     def test_tables_are_bounded_least_recently_used_first(self, fresh_tables):
         """Reading ``N + 1`` tables, ``D`` and ``E`` among them, keeps ``N``;
         the table dropped is the one read longest ago, and reading it again
-        rebuilds equal entries.  Keys are ``(X_{-2}, X_{-1}, shift)``."""
+        rebuilds equal entries.  Keys are ``(family, shift)``."""
         cap = schur.TABLES_MAX
         assert cap >= 8
-        d, e = (0, 1, 0), (1, 0, 0)
+        d, e = ("D", 0), ("E", 0)
         first = [schur_finite(n, 0) for n in range(40)]  # shift 0 is D
         schur_E(5)
         for m in range(1, cap - 1):
             schur_finite(40, m)
         schur_D(3)  # D is now the most recently read, E the least
         schur_finite(40, cap - 1)
-        shifts = [(0, 1, m) for m in range(1, cap - 1)]
-        assert list(schur._tables) == [*shifts, d, (0, 1, cap - 1)]
+        shifts = [("D", m) for m in range(1, cap - 1)]
+        assert list(schur._tables) == [*shifts, d, ("D", cap - 1)]
         schur_finite(40, 1)
         schur_E(5)
         assert len(schur._tables) == cap
-        assert (0, 1, 1) in schur._tables and (0, 1, 2) not in schur._tables
+        assert ("D", 1) in schur._tables and ("D", 2) not in schur._tables
         assert e in schur._tables
         for m in range(100, 100 + cap):
             schur_finite(5, m)
@@ -92,7 +94,7 @@ class TestSchurFinite:
         monkeypatch.setattr(RecurrenceTable, "__init__", counting_init)
         for n in range(60):
             assert schur_finite(n, 0) == schur_D(n)
-        assert schur._table(0, 1, 0) is schur._table(0, 1)
+        assert schur._table("D", 0) is schur._table("D")
         assert decompose(59, 0).passed
         assert built == [(0, 1, 0), (1, 0, 0)]
 
@@ -237,7 +239,7 @@ class TestDecompose:
 
         Not at ``m = 0``: there the ``Schur_n`` table is ``D``'s, so a wrong
         one would be a wrong ``D`` on both sides."""
-        wrong = schur._tables[(0, 1, m)] = RecurrenceTable(0, 1, m + 1)
+        wrong = schur._tables[("D", m)] = RecurrenceTable(0, 1, m + 1)
         rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
         expected = compare_polys("decomposition", {"n": n, "m": m}, wrong.entry(n), rhs)
         report = decompose(n, m)
@@ -261,7 +263,7 @@ class TestDecompose:
         ``w`` is taken, ``Y^2 = 2^(8w)`` exceeds every coefficient, so ``c =
         -1`` below the top, and the bound, now above ``2^(8w)``, moves the
         check to other radices."""
-        d, e, table = schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, m)
+        d, e, table = schur._table("D"), schur._table("E"), schur._table("D", m)
         reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m))
         cross = [schur._read(*r) for r in reads]
         radices = schur._radices(*cross, schur._read(table, n))
@@ -280,7 +282,7 @@ class TestDecompose:
         assert wrong.min_exp == 0 and min(wrong.coeffs) >= 0
         bound = max(table._sum(n), sum(wrong.coeffs))
         stub = _FixedEntry(table, n, wrong, bound)
-        schur._tables[(0, 1, m)] = stub
+        schur._tables[("D", m)] = stub
         taken = schur._radices(*cross, schur._read(stub, n))
         assert (s in taken) == (len(radices) > 1)
         rhs = lambda_coeff(m) * schur_D(n + m) + mu_coeff(m) * schur_E(n + m)
@@ -301,7 +303,7 @@ class TestDecompose:
         in Laurent arithmetic, a pass when the tables are right."""
         wrong = RecurrenceTable(0, 1, m + 1)
         if off:
-            schur._tables[(0, 1, m)] = wrong
+            schur._tables[("D", m)] = wrong
         assert determinant._decomposition(n, m) is not off
         calls = []
         for module, name in ((schur, "_packed_cross"), (packed, "from_two_points")):
@@ -347,10 +349,10 @@ class TestDecompose:
         grid += [(n, m) for m in (20, 30, 40) for n in range(60, 141)]
         grid += [(n, m) for m in range(9) for n in range(100, 151)]
         grid += [(n, m) for m in range(9, 20) for n in (0, 1, 2, 5, 33, 90, 140)]
-        d, e = schur._table(0, 1), schur._table(1, 0)
+        d, e = schur._table("D"), schur._table("E")
         counts, cases = set(), set()
         for n, m in grid:
-            table = schur._table(0, 1, m)
+            table = schur._table("D", m)
             reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m), (table, n))
             entries = [schur._read(*r) for r in reads]
             radices = schur._radices(*entries)
@@ -402,3 +404,36 @@ class _FixedEntry:
 
     def _sum(self, k: int) -> int:
         return self._bound if k == self._n else self._table._sum(k)
+
+
+@pytest.mark.parametrize(
+    "function, args, error",
+    [
+        (schur_finite, (-1, 0), ValueError),
+        (schur_finite, (0, -1), ValueError),
+        (schur_finite_direct, (-1, 0), ValueError),
+        (schur_finite_direct, (0, -1), ValueError),
+        (schur_coefficient, (-1, 0, 5), ValueError),
+        (schur_coefficient, (0, -1, 5), ValueError),
+        (check_coefficient_recurrence, (0, 0, 5), ValueError),
+        (schur_x1_series, (-1, 5), ValueError),
+        (schur_x1_series, (0, -1), ValueError),
+        (decompose, (-1, 0), ValueError),
+        (decompose, (0, -1), ValueError),
+        (gis_rhs, (-1, 5), ValueError),
+        (gis_rhs, (0, -1), ValueError),
+        (wronskian, (-1,), IndexError),
+        (lambda_coeff, (-1,), IndexError),
+        (mu_coeff, (-1,), IndexError),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else str(x),
+)
+def test_out_of_range_arguments_are_refused_before_any_table(
+    function, args, error, fresh_tables
+):
+    """Each library function refuses an argument below its range with its own
+    exception type, exactly, and registers no table first."""
+    with pytest.raises(error) as excinfo:
+        function(*args)
+    assert type(excinfo.value) is error
+    assert schur._tables == {}

@@ -181,7 +181,7 @@ class TestVerifyGis:
         for m in (439, 440, 1000):
             with pytest.raises(TooLargeError):
                 verify_gis(m, 10)
-            assert (1, 0, 0) not in schur._tables, m
+            assert ("E", 0) not in schur._tables, m
         assert identities._products == {1: [], 2: []}
 
     def test_report_fields(self):

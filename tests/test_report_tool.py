@@ -1,0 +1,28 @@
+"""``tools/report.py``, the report-only timings of CI, at small sizes."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report.py"
+
+
+def _report():
+    spec = importlib.util.spec_from_file_location("report", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_lines_at_small_sizes(fresh_tables):
+    """Both report lines name every call and read they time, with the radices
+    ``decompose`` compares at."""
+    report = _report()
+    line = report.packed_products(40, (5, 9), ((10, 3), (12, 20)), 2)
+    assert ", D and E built to 40, min of 2: wronskian(5) " in line
+    assert "wronskian(9) " in line and line.endswith(" ms")
+    assert "decompose(10, 3) at slots " in line and "decompose(12, 20) at slots " in line
+    line = report.reads_below_top(60, (50, 20))
+    assert ", D built to 60: read at 50 " in line and "; read at 20 " in line
+    assert line.endswith(" MB")

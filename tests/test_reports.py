@@ -47,7 +47,11 @@ class TestVerificationReport:
         }
 
     def test_json_serializable(self):
-        json.dumps(failing().to_json_obj())
+        suite = CheckSuiteResult(reports=(passing(), failing()))
+        for obj in (failing().to_json_obj(), suite.to_json_obj()):
+            assert json.loads(json.dumps(obj)) == obj
+        reports = [passing().to_json_obj(), failing().to_json_obj()]
+        assert suite.to_json_obj() == {"reports": reports, "all_passed": False}
 
 
 class TestCheckSuiteResult:

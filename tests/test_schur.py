@@ -193,8 +193,8 @@ def _read(kind: str, k: int) -> LaurentPoly:
 
 
 def _table(kind: str) -> RecurrenceTable:
-    """The registered table of ``kind``: its key is ``(X_{-2}, X_{-1}, shift)``."""
-    key = {"D": (0, 1, 0), "E": (1, 0, 0)}.get(kind) or (0, 1, int(kind[1:]))
+    """The registered table of ``kind``: its key is ``(family, shift)``."""
+    key = {"D": ("D", 0), "E": ("E", 0)}.get(kind) or ("D", int(kind[1:]))
     return schur._tables[key]
 
 
@@ -304,7 +304,7 @@ class TestRecurrenceTable:
             unpacked.append(length)
             return unpack(value, length, w)
 
-        table = schur._table(0, 1)
+        table = schur._table("D")
         table.packed(150)
         monkeypatch.setattr(packed, "unpack", counting_unpack)
         top = schur_D(150)
@@ -673,7 +673,7 @@ class TestPackedProducts:
         ``w``, over reads where ``w`` is even and where it is odd, every
         Wronskian (whose even or odd half is all zero), and zero factors
         ``D_{-2}`` and ``E_{-1}``."""
-        d, e, s = schur._table(0, 1), schur._table(1, 0), schur._table(0, 1, 5)
+        d, e, s = schur._table("D"), schur._table("E"), schur._table("D", 5)
         reads = [[(d, m - 1), (e, m), (d, m), (e, m - 1)] for m in range(0, 90)]
         reads += [
             [(e, m - 2), (d, n + m), (d, m - 2), (e, n + m)]

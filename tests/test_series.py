@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 import pytest
@@ -291,6 +292,25 @@ class TestSeriesMismatch:
     def test_up_to_beyond_order_raises(self):
         with pytest.raises(OrderTooHighError):
             series_first_mismatch(QSeries.one(2), QSeries.one(9), 3)
+
+
+@pytest.mark.parametrize(
+    "left, op",
+    [
+        (ONE + Q, operator.add),
+        (ONE + Q, operator.sub),
+        (QSeries.one(3), operator.add),
+        (QSeries.one(3), operator.sub),
+        (QSeries.one(3), operator.mul),
+    ],
+    ids=["poly+", "poly-", "series+", "series-", "series*"],
+)
+def test_operators_refuse_other_types(left, op):
+    """A ``str`` operand is neither coerced nor combined: the operator returns
+    ``NotImplemented`` and Python raises ``TypeError``."""
+    assert getattr(left, f"__{op.__name__}__")("q") is NotImplemented
+    with pytest.raises(TypeError):
+        op(left, "q")
 
 
 class TestSeriesTruncated:

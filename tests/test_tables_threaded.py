@@ -257,7 +257,7 @@ def test_tables_registry_and_products_change_under_the_lock(monkeypatch):
     rr_product_first(300)
     seen = [what for what, _ in held]
     assert ("extend", 150) in seen and ("walk", 16, 17) in seen
-    assert ("walk", 0, 16) in seen and ("table", (0, 1, 0)) in seen
+    assert ("walk", 0, 16) in seen and ("table", ("D", 0)) in seen
     assert seen.count(("append",)) == 301
     assert all(locked for _, locked in held), held
 

@@ -1,0 +1,84 @@
+"""Report-only timings of the packed products and of reads below a table's top.
+
+Each function returns one line: the Python version, what was built and the
+times measured.  Nothing is gated.  Stdlib only; ``qschur`` must be
+importable (``PYTHONPATH=src``).
+
+Usage: ``PYTHONPATH=src python tools/report.py`` prints both lines at the
+sizes the CI report step uses: ``D`` and ``E`` built to 200, ``wronskian(49)``
+and ``wronskian(70)``, ``decompose`` at ``(110, 20)``, ``(100, 30)`` and
+``(140, 40)``, min of 7 calls each; then ``D`` built to 436 and read at 433
+and 218.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections.abc import Iterable
+from platform import python_version
+from time import perf_counter
+from timeit import repeat
+
+from qschur import schur
+from qschur.determinant import decompose
+from qschur.schur import RecurrenceTable, schur_D, schur_E, wronskian
+
+
+def _slots(n: int, m: int) -> str:
+    """The radices ``decompose(n, m)`` compares at, comma-separated."""
+    d, e, s = schur._table("D"), schur._table("E"), schur._table("D", m)
+    reads = ((e, m - 2), (d, n + m), (d, m - 2), (e, n + m), (s, n))
+    return ",".join(map(str, schur._radices(*(schur._read(*r) for r in reads))))
+
+
+def packed_products(
+    built: int, shifts: Iterable[int], shapes: Iterable[tuple[int, int]], calls: int
+) -> str:
+    """Min of ``calls`` timings of ``wronskian(m)`` for each of ``shifts`` and
+    of ``decompose(n, m)`` for each of ``shapes``, with ``D`` and ``E``
+    built to ``built`` first."""
+    schur_D(built)
+    schur_E(built)
+    timed = {f"wronskian({m})": lambda m=m: wronskian(m) for m in shifts}
+    for n, m in shapes:
+        timed[f"decompose({n}, {m}) at slots {_slots(n, m)}"] = (
+            lambda n=n, m=m: decompose(n, m)
+        )
+    times = (
+        f"{name} {min(repeat(call, number=1, repeat=calls)) * 1e3:.2f} ms"
+        for name, call in timed.items()
+    )
+    return (
+        f"Python {python_version()}, D and E built to {built}, min of {calls}: "
+        + ", ".join(times)
+    )
+
+
+def reads_below_top(top: int, reads: Iterable[int]) -> str:
+    """The time of each read of a fresh ``D`` table built to ``top``, in
+    order, and the checkpoints it holds after each."""
+    table = RecurrenceTable(*schur._FAMILIES["D"])
+    table.packed(top)
+    parts = []
+    for k in reads:
+        start = perf_counter()
+        table.packed(k)
+        ms = (perf_counter() - start) * 1e3
+        held = table._checkpoints
+        pairs = [(a, b) for a, b, _w in held.values()]
+        size = sum((x.bit_length() + 7) // 8 for pair in pairs for x in pair)
+        parts.append(
+            f"read at {k} {ms:.1f} ms, then {len(held)} checkpoints hold "
+            f"{size / 1e6:.2f} MB"
+        )
+    return f"Python {python_version()}, D built to {top}: " + "; ".join(parts)
+
+
+def main() -> int:
+    print(packed_products(200, (49, 70), ((110, 20), (100, 30), (140, 40)), 7))
+    print(reads_below_top(436, (433, 218)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
