@@ -27,13 +27,7 @@ from __future__ import annotations
 from operator import add
 
 from .reports import VerificationReport, compare_polys, compare_series
-from .series import (
-    LaurentPoly,
-    QSeries,
-    divide_one_minus_qk,
-    monomial,
-    poly_to_series,
-)
+from .series import LaurentPoly, QSeries, divide_one_minus_qk, monomial
 from .schur import TooLargeError, _decomposition, _table, lambda_coeff, mu_coeff
 from .schur import schur_D, schur_E
 
@@ -109,15 +103,16 @@ def schur_finite_direct(n: int, m: int) -> LaurentPoly:
 def schur_coefficient(n: int, m: int, order: int) -> QSeries:
     """The expansion coefficient ``a_n = q^(n^2+mn) / ((1-q)...(1-q^n))``.
 
-    Truncated at ``order``; built as the truncated monomial divided by each
-    ``1 - q^j`` in turn, one O(order) prefix sum per factor.
+    Truncated at ``order``; built as the window of the monomial, divided in
+    place by each ``1 - q^j`` in turn, one O(order) prefix sum per factor.
     """
     if n < 0 or m < 0:
         raise ValueError(f"schur_coefficient requires n, m >= 0, got ({n}, {m})")
-    acc = poly_to_series(monomial(1, n * n + m * n), order)
+    low = n * n + m * n
+    window = [1] + [0] * (order - low) if low <= order else []
     for j in range(1, n + 1):
-        acc = divide_one_minus_qk(acc, j)
-    return acc
+        divide_one_minus_qk(window, j)
+    return QSeries(order, min(low, order + 1), window)
 
 
 def check_coefficient_recurrence(n: int, m: int, order: int) -> VerificationReport:
@@ -144,19 +139,20 @@ def schur_x1_series(m: int, order: int) -> QSeries:
     """Sum of all ``a_n`` truncated at ``order``.
 
     Only terms with ``n^2 + mn <= order`` contribute: every later ``a_n``
-    has its lowest exponent above the truncation.  ``1/(q;q)_n`` is shared
-    across terms, cut to the window ``a_n`` needs and extended by one
-    prefix-sum division per term.
+    has its lowest exponent above the truncation.  One list holds
+    ``1/(q;q)_n`` for every term: it is cut to the window ``a_n`` needs and
+    divided in place by one prefix sum per term.
     """
     if m < 0 or order < 0:
         raise ValueError(f"schur_x1_series requires m, order >= 0, got ({m}, {order})")
     total = [0] * (order + 1)
-    poch_inv = QSeries.one(order)  # 1/(q;q)_n through q^(order - low)
+    poch_inv = [1] + [0] * order  # 1/(q;q)_n through q^(order - low)
     n = 0
     while (low := n * n + m * n) <= order:
         if n:
-            poch_inv = divide_one_minus_qk(poch_inv.truncated(order - low), n)
-        total[low:] = map(add, total[low:], poch_inv.coeffs)
+            del poch_inv[order - low + 1 :]
+            divide_one_minus_qk(poch_inv, n)
+        total[low:] = map(add, total[low:], poch_inv)
         n += 1
     return QSeries(order, 0, total)
 

@@ -22,11 +22,11 @@ coefficient to a requested truncation order, with zero tolerance.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import isqrt
 
 from .determinant import schur_x1_series
 from .reports import CheckSuiteResult, VerificationReport, compare_series
-from .schur import _check_budget, _lock, _table, lambda_coeff, mu_coeff
+from .schur import _check_budget, _factor, _lock, _table, lambda_coeff, mu_coeff
 from .schur import schur_D, schur_E
 from .series import QSeries, poly_to_series
 
@@ -65,10 +65,12 @@ def _check_product(top: int) -> None:
     _check_budget(_product_bytes(top), f"a Rogers-Ramanujan product through q^{top}")
 
 
-def _refuse_gis(m: int, order: int) -> None:
+def _refuse_gis(m: int, order: int) -> int:
     """Raise, before anything is built, the
     :class:`~qschur.schur.TooLargeError` that :func:`gis_rhs` or
-    :func:`verify_gis` would raise at ``order`` and any shift up to ``m``.
+    :func:`verify_gis` would raise at ``order`` and any shift up to ``m``;
+    otherwise return the products' top at ``m``, ``order + binomial(m, 2)``
+    (:func:`~qschur.schur._factor`).
 
     Each bound grows with the shift, so the check at ``m`` covers every
     smaller one.  The tables are ``D`` and ``E`` through ``m - 2``, and
@@ -79,7 +81,9 @@ def _refuse_gis(m: int, order: int) -> None:
     footprint, so the decode budget never refuses first.
     """
     _table("D")._check(m - 2)
-    _check_product(order + comb(m, 2))
+    top = order + _factor(m, "_refuse_gis")[1]
+    _check_product(top)
+    return top
 
 
 def _rr_product(r: int, order: int) -> QSeries:
@@ -136,8 +140,7 @@ def gis_rhs(m: int, order: int) -> QSeries:
     """
     if m < 0 or order < 0:
         raise ValueError(f"gis_rhs requires m, order >= 0, got ({m}, {order})")
-    _refuse_gis(m, order)
-    k = order + comb(m, 2)
+    k = _refuse_gis(m, order)
     return rr_product_first(k) * lambda_coeff(m) + rr_product_second(k) * mu_coeff(m)
 
 

@@ -56,24 +56,19 @@ def pack(coeffs: Sequence[int], w: int) -> int:
 
 
 def unpack(value: int, length: int, w: int) -> list[int]:
-    """The low ``length`` balanced ``w``-byte digits of ``value``; undoes
-    :func:`pack`."""
+    """The ``length`` balanced ``w``-byte digits of ``value``; undoes
+    :func:`pack`.  A ``value`` with a nonzero digit above them raises
+    :class:`OverflowError`."""
     return _split(_fields(value, length, w), w)
 
 
 def _fields(value: int, length: int, w: int) -> bytes:
-    """The low ``length`` digits of ``value`` as unsigned ``w``-byte fields.
+    """The ``length`` digits of ``value`` as unsigned ``w``-byte fields.
 
-    Adding the bias to the low ``length`` digits and masking off the rest
-    leaves each digit as ``coefficient + 2^(8w-1)``, with no carry between
-    them, whatever digits ``value`` has above them.  When ``value`` has no
-    digit above them, as in :func:`decode`, there is nothing to mask.
+    Adding the bias to every digit leaves each as ``coefficient +
+    2^(8w-1)``, with no carry between them.
     """
-    size = length * w
-    fields = value + _bias(length, w)
-    if fields >> (8 * size):  # value has digits above the low length
-        fields &= (1 << (8 * size)) - 1
-    return fields.to_bytes(size, "little")
+    return (value + _bias(length, w)).to_bytes(length * w, "little")
 
 
 def _split(fields: bytes | memoryview, w: int) -> list[int]:

@@ -17,7 +17,7 @@ decomposition coefficients ``lambda`` and ``mu`` possible.
 from __future__ import annotations
 
 import threading
-from math import comb, isqrt
+from math import isqrt
 
 from . import packed
 from .series import LaurentPoly, monomial
@@ -307,7 +307,7 @@ def _radices(a: _Entry, b: _Entry, c: _Entry, d: _Entry, lhs: _Entry) -> list[in
     w = _pair_width(a, b, c, d, lhs[2])
     if a[1] * w * 4 < KARATSUBA_CUTOFF * 30:
         return [w]
-    need = ((max(a[2] * b[2], c[2] * d[2]) + lhs[2]).bit_length() + 8) // 8
+    need = packed.width(max(a[2] * b[2], c[2] * d[2]) + lhs[2])
     k = (isqrt(8 * need + 1) - 1) // 2
     low, extra = divmod(need - k * (k - 1) // 2, k)
     return [low + i + (i >= k - extra) for i in range(k)]
@@ -379,7 +379,7 @@ def _factor(m: int, caller: str) -> tuple[int, int]:
     raises :class:`IndexError`, naming ``caller``, for ``m < 0``."""
     if m < 0:
         raise IndexError(f"{caller} requires m >= 0, got {m}")
-    return -1 if m % 2 else 1, comb(m, 2)
+    return -1 if m % 2 else 1, m * (m - 1) // 2
 
 
 def lambda_coeff(m: int) -> LaurentPoly:

@@ -16,6 +16,7 @@ variable q is never evaluated at a number; it exists only through exponents.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate
 from operator import add
 
 from . import packed
@@ -440,17 +441,16 @@ def _product(a: QSeries, b: LaurentPoly | QSeries, order: int) -> QSeries:
     )
 
 
-def divide_one_minus_qk(a: QSeries, k: int) -> QSeries:
-    """Exact quotient a / (1 - q^k), k >= 1: a stride-k prefix sum.
+def divide_one_minus_qk(coeffs: list[int], k: int) -> None:
+    """Divide a coefficient window by ``1 - q^k``, k >= 1, in place: a
+    stride-k prefix sum, ``c[e] += c[e-k]`` from the bottom up.
 
-    One O(N) pass of ``out[e] += out[e-k]``; ``a``'s window and order are kept.
+    Each coefficient keeps its exponent, and the window its length.
     """
     if k < 1:
         raise ValueError(f"divide_one_minus_qk requires k >= 1, got {k}")
-    out = list(a.coeffs)
-    for i in range(k, len(out)):
-        out[i] += out[i - k]
-    return QSeries(a.order, a.min_exp, out)
+    for r in range(min(k, len(coeffs))):
+        coeffs[r::k] = accumulate(coeffs[r::k])
 
 
 def series_first_mismatch(

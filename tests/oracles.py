@@ -6,15 +6,16 @@ test.  :func:`recurrence_entries` runs the three-term recurrence in plain
 :class:`LaurentPoly` arithmetic, with none of the packed tables.
 :func:`poly_shifted` and :func:`poly_pow` build polynomials from the
 library's addition and multiplication alone.  :func:`prefix_sum_product`
-builds a Rogers-Ramanujan product factor by factor, one division by
-``1 - q^k`` each, with no pentagonal recurrence.  :func:`casoratian_gis_rhs`
-assembles the product side of the identity from the Casoratian form, with
-no ``lambda`` or ``mu``.  :func:`series_sum` and :func:`series_product` add
-and multiply truncated series term by term, with no coefficient windows.
-:func:`series_inverse` inverts a series by solving the convolution
-triangularly; it is the oracle for the library's one division,
-``divide_one_minus_qk``, a stride-``k`` prefix sum, and refuses a series
-whose lowest coefficient is not a unit with :class:`NotInvertibleError`.
+builds a Rogers-Ramanujan product factor by factor in one coefficient list,
+divided in place by each ``1 - q^k``, with no pentagonal recurrence.
+:func:`casoratian_gis_rhs` assembles the product side of the identity from
+the Casoratian form, with no ``lambda`` or ``mu``.  :func:`series_sum` and
+:func:`series_product` add and multiply truncated series term by term, with
+no coefficient windows.  :func:`series_inverse` inverts a series by solving
+the convolution triangularly; it is the oracle for the library's one
+division, ``divide_one_minus_qk``, a stride-``k`` prefix sum over a
+coefficient list in place, and refuses a series whose lowest coefficient
+is not a unit with :class:`NotInvertibleError`.
 :func:`poly_document`, :func:`qseries_document` and
 :func:`format_series_table` render a whole value at once, as the CLI once
 did; they are the byte oracles of its chunked writers.
@@ -92,11 +93,11 @@ def recurrence_entries(
 def prefix_sum_product(residues: set[int], order: int) -> QSeries:
     """Product of ``1/(1 - q^k)`` over ``k <= order`` with ``k % 5`` in
     ``residues``: one O(order) prefix sum per factor, O(order^2) in all."""
-    acc = QSeries.one(order)
+    coeffs = [1] + [0] * order
     for k in range(1, order + 1):
         if k % 5 in residues:
-            acc = divide_one_minus_qk(acc, k)
-    return acc
+            divide_one_minus_qk(coeffs, k)
+    return QSeries(order, 0, coeffs)
 
 
 def casoratian_gis_rhs(m: int, order: int) -> QSeries:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from math import prod
+from time import perf_counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from qschur.identities import gis_rhs
 from qschur.reports import compare_polys, compare_series
 from qschur.schur import RecurrenceTable, lambda_coeff, mu_coeff, schur_D, schur_E
 from qschur.schur import wronskian
-from qschur.series import ONE, LaurentPoly, Q, monomial, poly_to_series
+from qschur.series import ONE, LaurentPoly, Q, QSeries, monomial, poly_to_series
 
 from .oracles import partitions_max_part, sum_side_coefficients
 
@@ -151,6 +152,14 @@ class TestSchurCoefficient:
             s = schur_coefficient(n, m, n * n + m * n + 5)
             assert s.min_exp == n * n + m * n
             assert s.coefficient(s.min_exp) == 1
+
+    def test_window_above_the_order_costs_nothing_per_factor(self):
+        """``a_n`` whose lowest exponent lies above ``order`` is the zero
+        series; its empty window is divided by each of the ``10^4`` factors
+        at no cost per stride."""
+        start = perf_counter()
+        assert schur_coefficient(10**4, 0, 5) == QSeries.zero(5)
+        assert perf_counter() - start < 0.5
 
 
 class TestCoefficientRecurrence:

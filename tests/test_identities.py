@@ -13,6 +13,7 @@ from qschur import identities, schur
 from qschur.determinant import schur_x1_series
 from qschur.schur import TooLargeError
 from qschur.identities import (
+    _refuse_gis,
     gis_rhs,
     rr_product_first,
     rr_product_second,
@@ -119,6 +120,19 @@ class TestRightHandSide:
             got, want = gis_rhs(m, order), casoratian_gis_rhs(m, order)
             assert got == want and str(got) == str(want), m
             assert got.order == order, m
+
+    @pytest.mark.parametrize("order", [0, 50])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 30])
+    def test_products_run_to_the_top_the_refusal_checks(
+        self, m, order, fresh_products
+    ):
+        """The pre-flight check returns ``order + C(m, 2)``, and the product
+        side builds both products through exactly that top, from empty
+        lists, so the two cannot disagree."""
+        top = _refuse_gis(m, order)
+        assert top == order + comb(m, 2)
+        gis_rhs(m, order)
+        assert [len(c) for c in identities._products.values()] == [top + 1] * 2
 
     def test_m2_assembled_by_hand(self):
         # q^-1 * (E_0 * P1 - D_0 * P2) = q^-1 * (P1 - P2), truncated at 6.

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "report.py"
 
 
 def _report():
@@ -26,3 +28,15 @@ def test_report_lines_at_small_sizes(fresh_tables):
     line = report.reads_below_top(60, (50, 20))
     assert ", D built to 60: read at 50 " in line and "; read at 20 " in line
     assert line.endswith(" MB")
+
+
+def test_peak_of_one_small_command(monkeypatch):
+    """``peak`` runs one command in a child process and reports its exit
+    code, wall time and a nonzero peak RSS of its own."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    monkeypatch.setenv("PYTHONPATH", f"{src}{os.pathsep}{path}" if path else src)
+    line = _report().peak(["schur-poly", "--kind", "D", "--index", "3"])
+    assert line.startswith("schur-poly --kind D --index 3: exit 0, ")
+    assert " s wall, peak RSS " in line and line.endswith(" MB")
+    assert float(line.split()[-2]) > 0

@@ -254,22 +254,43 @@ class TestSeriesContracts:
         assert prod.order == rel_order
 
 
+def _divided(s: QSeries, k: int) -> QSeries:
+    """``s / (1 - q^k)``, from ``s``'s window divided in place."""
+    coeffs = list(s.coeffs)
+    divide_one_minus_qk(coeffs, k)
+    return QSeries(s.order, s.min_exp, coeffs)
+
+
 class TestDivideOneMinusQk:
     @given(nonnegative_series, strides)
     def test_matches_triangular_inverse(self, s, k):
         """The prefix sum equals the product with the inverted factor."""
         factor = poly_to_series(ONE - monomial(1, k), s.order)
-        assert divide_one_minus_qk(s, k) == s * series_inverse(factor)
+        assert _divided(s, k) == s * series_inverse(factor)
 
     @given(nonnegative_series, strides)
     def test_round_trip(self, s, k):
-        quotient = divide_one_minus_qk(s, k)
+        quotient = _divided(s, k)
         assert quotient * (ONE - monomial(1, k)) == s
 
     @pytest.mark.parametrize("k", [0, -1, -7])
     def test_nonpositive_stride_rejected(self, k):
         with pytest.raises(ValueError):
-            divide_one_minus_qk(QSeries.one(5), k)
+            divide_one_minus_qk([1] + [0] * 5, k)
+
+    def test_empty_and_short_windows(self):
+        """The division returns nothing.  An empty window stays empty, and a
+        stride of the window's length or more leaves it as it is: no
+        coefficient has one ``k`` below it."""
+        empty: list[int] = []
+        assert divide_one_minus_qk(empty, 3) is None
+        assert empty == []
+        window = [2, -1, 5]
+        for k in (3, 4, 10**9):
+            divide_one_minus_qk(window, k)
+            assert window == [2, -1, 5], k
+        divide_one_minus_qk(window, 2)
+        assert window == [2, -1, 7]
 
 
 class TestDigitCodec:
@@ -278,19 +299,28 @@ class TestDigitCodec:
     @settings(max_examples=300)
     @given(codec_cases(), st.data())
     def test_round_trip(self, case, data):
+        """Every digit round-trips; fewer digits than the value holds are
+        refused unless the digits left out are all zero."""
         coeffs, w = case
         value = packed.pack(coeffs, w)
         assert packed.unpack(value, len(coeffs), w) == coeffs
         low = data.draw(st.integers(min_value=0, max_value=len(coeffs)))
-        assert packed.unpack(value, low, w) == coeffs[:low]
+        if any(coeffs[low:]):
+            with pytest.raises(OverflowError):
+                packed.unpack(value, low, w)
+        else:
+            assert packed.unpack(value, low, w) == coeffs[:low]
 
     def test_low_digits_below_a_negative_top(self):
-        """The low digits of a value whose digits above them sum to a
-        negative number, so that the biased low digits are negative too,
-        and of one whose digits above them do not show in the low ones."""
-        assert packed.unpack(packed.pack([1, -1], 1), 1, 1) == [1]
-        assert packed.unpack(packed.pack([-5, 3, -1], 2), 2, 2) == [-5, 3]
-        assert packed.unpack(packed.pack([0, 0, 1], 1), 2, 1) == [0, 0]
+        """A length shorter than the value raises :class:`OverflowError`,
+        whether the digits left out sum to a negative number, so that the
+        biased value is negative, or do not show in the low digits; zero
+        digits left out are no loss."""
+        cases = (([1, -1], 1, 1), ([-5, 3, -1], 2, 2), ([0, 0, 1], 2, 1))
+        for coeffs, length, w in cases:
+            with pytest.raises(OverflowError):
+                packed.unpack(packed.pack(coeffs, w), length, w)
+        assert packed.unpack(packed.pack([-5, 3, 0], 2), 2, 2) == [-5, 3]
 
 
 class TestSeriesArithmetic:

@@ -1,20 +1,22 @@
-"""Report-only timings of the packed products and of reads below a table's top.
+"""Report-only wall time and peak RSS of one-shot commands, timings of the
+packed products and of reads below a table's top.
 
-Each function returns one line: the Python version, what was built and the
-times measured.  Nothing is gated.  Stdlib only; ``qschur`` must be
-importable (``PYTHONPATH=src``).
+Each function returns one line: what was run or built and what was
+measured.  Nothing is gated.  Stdlib only; ``qschur`` must be importable
+(``PYTHONPATH=src``), in this process and in the commands it starts.
 
-Usage: ``PYTHONPATH=src python tools/report.py`` prints both lines at the
-sizes the CI report step uses: ``D`` and ``E`` built to 200, ``wronskian(49)``
-and ``wronskian(70)``, ``decompose`` at ``(110, 20)``, ``(100, 30)`` and
-``(140, 40)``, min of 7 calls each; then ``D`` built to 436 and read at 433
-and 218.
+Usage: ``PYTHONPATH=src python tools/report.py`` prints, at the sizes the CI
+report step uses, one line for each of :data:`COMMANDS`; then ``D`` and
+``E`` built to 200, ``wronskian(49)`` and ``wronskian(70)``, ``decompose``
+at ``(110, 20)``, ``(100, 30)`` and ``(140, 40)``, min of 7 calls each; then
+``D`` built to 436 and read at 433 and 218.
 """
 
 from __future__ import annotations
 
+import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from platform import python_version
 from time import perf_counter
 from timeit import repeat
@@ -22,6 +24,37 @@ from timeit import repeat
 from qschur import schur
 from qschur.determinant import decompose
 from qschur.schur import RecurrenceTable, schur_D, schur_E, wronskian
+
+
+#: The ``qschur`` commands :func:`peak` measures, one fresh process each.
+COMMANDS = [
+    "schur-poly --kind D --index 210 --format json",
+    "schur-poly --kind D --index 400 --format json",
+    "determinant --n 300 --m 8 --check --format json",
+    "determinant --n 140 --m 40 --check --format json",
+    "determinant --n 1 --m 3700000 --format json",
+    "product --which rr1 --order 30000 --format json",
+    "verify --m-max 20 --order 200",
+    "verify --m-max 20 --order 1000",
+    "verify --m-max 20 --order 2000",
+    "verify --m-min 150 --m-max 150 --order 10",
+    "verify --m-min 100 --m-max 110 --order 10",
+]
+
+
+def peak(args: Sequence[str]) -> str:
+    """Exit code, wall time and peak RSS of ``python -m qschur *args`` in a
+    child process, its stdout discarded.  The peak is the child's own, from
+    the rusage :func:`os.wait4` returns for it."""
+    argv = [sys.executable, "-m", "qschur", *args]
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    start = perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    wall = perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    return f"{' '.join(args)}: exit {code}, {wall:.2f} s wall, peak RSS {mb:.1f} MB"
 
 
 def _slots(n: int, m: int) -> str:
@@ -75,6 +108,8 @@ def reads_below_top(top: int, reads: Iterable[int]) -> str:
 
 
 def main() -> int:
+    for command in COMMANDS:
+        print(peak(command.split()), flush=True)
     print(packed_products(200, (49, 70), ((110, 20), (100, 30), (140, 40)), 7))
     print(reads_below_top(436, (433, 218)))
     return 0
