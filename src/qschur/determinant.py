@@ -19,12 +19,13 @@ for the coefficients ``a_n`` of its grading by superdiagonal entries used,
     a_n = q^(n^2 + mn) / ((1-q)(1-q^2)...(1-q^n)).
 
 The specialization summing all ``a_n`` (:func:`schur_x1_series`) is the
-common value both identity sides converge to.
+common value both identity sides converge to; the sum is taken by the same
+first-column recurrence, from the innermost term out.
 """
 
 from __future__ import annotations
 
-from operator import add
+from math import isqrt
 
 from .reports import VerificationReport, compare_polys, compare_series
 from .series import LaurentPoly, QSeries, divide_one_minus_qk, monomial
@@ -136,25 +137,26 @@ def check_coefficient_recurrence(n: int, m: int, order: int) -> VerificationRepo
 
 
 def schur_x1_series(m: int, order: int) -> QSeries:
-    """Sum of all ``a_n`` truncated at ``order``.
+    """Sum of all ``a_n`` truncated at ``order``, by Horner's rule on the
+    first-column recurrence.
 
-    Only terms with ``n^2 + mn <= order`` contribute: every later ``a_n``
-    has its lowest exponent above the truncation.  One list holds
-    ``1/(q;q)_n`` for every term: it is cut to the window ``a_n`` needs and
-    divided in place by one prefix sum per term.
+    The tails ``T_k = sum_{n >= k} a_n / a_k`` satisfy ``T_{k-1} = 1 +
+    q^(2k-1+m) T_k / (1 - q^k)``, and the sum is ``T_0``.  It is exact:
+    ``a_k`` starts at ``q^(k^2+mk)``, so ``T_k`` is needed only through
+    ``q^(order - k^2 - mk)``; and for ``N`` (``top``), the largest ``n`` with
+    ``n^2 + mn <= order``, ``T_N`` is exactly 1 there, because ``(N+1)^2 +
+    m(N+1) > order``.  The steps run for ``k = N .. 1`` from ``T_N = 1`` on
+    one list, divided in place and then prepended once per step.
     """
     if m < 0 or order < 0:
         raise ValueError(f"schur_x1_series requires m, order >= 0, got ({m}, {order})")
-    total = [0] * (order + 1)
-    poch_inv = [1] + [0] * order  # 1/(q;q)_n through q^(order - low)
-    n = 0
-    while (low := n * n + m * n) <= order:
-        if n:
-            del poch_inv[order - low + 1 :]
-            divide_one_minus_qk(poch_inv, n)
-        total[low:] = map(add, total[low:], poch_inv)
-        n += 1
-    return QSeries(order, 0, total)
+    # n^2 + mn <= order exactly when 2n + m <= isqrt(m^2 + 4 order)
+    top = (isqrt(m * m + 4 * order) - m) // 2
+    t = [1] + [0] * (order - top * top - m * top)
+    for k in range(top, 0, -1):
+        divide_one_minus_qk(t, k)
+        t = [1] + [0] * (2 * k - 2 + m) + t
+    return QSeries(order, 0, t)
 
 
 def decompose(n: int, m: int) -> VerificationReport:

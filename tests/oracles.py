@@ -8,6 +8,8 @@ test.  :func:`recurrence_entries` runs the three-term recurrence in plain
 library's addition and multiplication alone.  :func:`prefix_sum_product`
 builds a Rogers-Ramanujan product factor by factor in one coefficient list,
 divided in place by each ``1 - q^k``, with no pentagonal recurrence.
+:func:`sum_side_by_terms` builds the sum side term by term into an
+accumulator, with no Horner steps.
 :func:`casoratian_gis_rhs` assembles the product side of the identity from
 the Casoratian form, with no ``lambda`` or ``mu``.  :func:`series_sum` and
 :func:`series_product` add and multiply truncated series term by term, with
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from qschur import packed
 from qschur.identities import rr_product_first, rr_product_second
@@ -98,6 +101,22 @@ def prefix_sum_product(residues: set[int], order: int) -> QSeries:
         if k % 5 in residues:
             divide_one_minus_qk(coeffs, k)
     return QSeries(order, 0, coeffs)
+
+
+def sum_side_by_terms(m: int, order: int) -> QSeries:
+    """``sum_n q^(n^2+mn) / (q;q)_n`` through ``q^order``, one term at a time:
+    one list holds ``1/(q;q)_n``, cut to the window ``a_n`` needs and divided
+    in place by ``1 - q^n``, and each term is added into an accumulator."""
+    total = [0] * (order + 1)
+    poch_inv = [1] + [0] * order  # 1/(q;q)_n through q^(order - low)
+    n = 0
+    while (low := n * n + m * n) <= order:
+        if n:
+            del poch_inv[order - low + 1 :]
+            divide_one_minus_qk(poch_inv, n)
+        total[low:] = map(add, total[low:], poch_inv)
+        n += 1
+    return QSeries(order, 0, total)
 
 
 def casoratian_gis_rhs(m: int, order: int) -> QSeries:

@@ -7,6 +7,8 @@ from math import prod
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur import determinant, packed, schur
 from qschur.determinant import (
@@ -25,7 +27,7 @@ from qschur.schur import RecurrenceTable, lambda_coeff, mu_coeff, schur_D, schur
 from qschur.schur import wronskian
 from qschur.series import ONE, LaurentPoly, Q, QSeries, monomial, poly_to_series
 
-from .oracles import partitions_max_part, sum_side_coefficients
+from .oracles import partitions_max_part, sum_side_by_terms, sum_side_coefficients
 
 
 class TestSchurFinite:
@@ -204,6 +206,27 @@ class TestSumSide:
             s = schur_x1_series(m, order)
             want = sum_side_coefficients(m, order)
             assert [s.coefficient(e) for e in range(order + 1)] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 60), st.integers(0, 800))
+    def test_matches_term_by_term_sum(self, m, order):
+        assert schur_x1_series(m, order) == sum_side_by_terms(m, order)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 13])
+    def test_orders_around_the_last_term(self, n, m, step):
+        """At ``order = n^2 + mn`` the term ``a_n`` has just come in: one
+        below, ``a_{n-1}`` is the last term; one above, ``a_n`` has two
+        coefficients."""
+        order = n * n + m * n + step
+        assert schur_x1_series(m, order) == sum_side_by_terms(m, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 10])
+    @pytest.mark.parametrize("m", [100, 200, 438])
+    def test_large_shifts(self, m, order):
+        """Only ``a_0 = 1`` is below the truncation."""
+        assert schur_x1_series(m, order) == sum_side_by_terms(m, order)
 
 
 class TestDecompose:

@@ -6,6 +6,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+from qschur import identities
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "report.py"
 
@@ -28,6 +30,16 @@ def test_report_lines_at_small_sizes(fresh_tables):
     line = report.reads_below_top(60, (50, 20))
     assert ", D built to 60: read at 50 " in line and "; read at 20 " in line
     assert line.endswith(" MB")
+
+
+def test_verify_sides_at_small_sizes(fresh_tables, fresh_products):
+    """The layer line names the sum side, both products through the top of
+    the largest shift and the combine, and leaves both products built."""
+    line = _report().verify_sides(3, (20,), 2)
+    assert ", verify at m = 0..3, min of 2: order 20: sum side " in line
+    assert " ms, P1 through q^23 " in line and " ms, P2 through q^23 " in line
+    assert " ms, combine " in line and line.endswith(" ms")
+    assert all(len(identities._products[r]) == 24 for r in (1, 2))
 
 
 def test_peak_of_one_small_command(monkeypatch):

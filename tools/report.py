@@ -1,5 +1,5 @@
 """Report-only wall time and peak RSS of one-shot commands, timings of the
-packed products and of reads below a table's top.
+packed products, of reads below a table's top and of ``verify``'s layers.
 
 Each function returns one line: what was run or built and what was
 measured.  Nothing is gated.  Stdlib only; ``qschur`` must be importable
@@ -9,7 +9,8 @@ Usage: ``PYTHONPATH=src python tools/report.py`` prints, at the sizes the CI
 report step uses, one line for each of :data:`COMMANDS`; then ``D`` and
 ``E`` built to 200, ``wronskian(49)`` and ``wronskian(70)``, ``decompose``
 at ``(110, 20)``, ``(100, 30)`` and ``(140, 40)``, min of 7 calls each; then
-``D`` built to 436 and read at 433 and 218.
+``D`` built to 436 and read at 433 and 218; then the layers of ``verify``
+at m = 0..20, orders 1000 and 2000, min of 7 calls each.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from platform import python_version
 from time import perf_counter
 from timeit import repeat
 
-from qschur import schur
-from qschur.determinant import decompose
+from qschur import identities, schur
+from qschur.determinant import decompose, schur_x1_series
+from qschur.identities import gis_rhs, rr_product_first, rr_product_second
 from qschur.schur import RecurrenceTable, schur_D, schur_E, wronskian
 
 
@@ -107,11 +109,40 @@ def reads_below_top(top: int, reads: Iterable[int]) -> str:
     return f"Python {python_version()}, D built to {top}: " + "; ".join(parts)
 
 
+def verify_sides(m_max: int, orders: Iterable[int], calls: int) -> str:
+    """Min of ``calls`` timings of each layer of ``verify`` over the shifts
+    ``0 .. m_max`` at each of ``orders``: the sum side
+    (``schur_x1_series``), each Rogers-Ramanujan product through the top
+    the largest shift needs, its list emptied before each call, and the
+    combine (``gis_rhs`` once the products are built)."""
+    shifts = range(m_max + 1)
+    parts = []
+    for order in orders:
+        top = identities._refuse_gis(m_max, order)
+        lists = identities._products
+        layers = (
+            ("sum side", lambda: [schur_x1_series(m, order) for m in shifts], "pass"),
+            (f"P1 through q^{top}", lambda: rr_product_first(top), lists[1].clear),
+            (f"P2 through q^{top}", lambda: rr_product_second(top), lists[2].clear),
+            ("combine", lambda: [gis_rhs(m, order) for m in shifts], "pass"),
+        )
+        times = (
+            f"{name} {min(repeat(call, setup, number=1, repeat=calls)) * 1e3:.2f} ms"
+            for name, call, setup in layers
+        )
+        parts.append(f"order {order}: " + ", ".join(times))
+    return (
+        f"Python {python_version()}, verify at m = 0..{m_max}, min of {calls}: "
+        + "; ".join(parts)
+    )
+
+
 def main() -> int:
     for command in COMMANDS:
         print(peak(command.split()), flush=True)
     print(packed_products(200, (49, 70), ((110, 20), (100, 30), (140, 40)), 7))
     print(reads_below_top(436, (433, 218)))
+    print(verify_sides(20, (1000, 2000), 7))
     return 0
 
 
