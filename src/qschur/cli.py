@@ -28,7 +28,7 @@ from .determinant import (
 )
 from .identities import _refuse_gis, rr_product_first, rr_product_second, verify_gis
 from .reports import VerificationReport, compare_polys
-from .schur import TooLargeError, _table
+from .schur import RecurrenceTable, TooLargeError, _check_budget, _table
 from .series import _sum_notation
 
 DEFAULT_VERIFY_ORDER = 200
@@ -80,6 +80,17 @@ def _slices(coeffs: Sequence[int]) -> Iterator[Sequence[int]]:
     return (coeffs[i : i + size] for i in range(0, len(coeffs), size))
 
 
+def _streamable(table: RecurrenceTable, k: int) -> tuple[int, int]:
+    """:meth:`~qschur.schur.RecurrenceTable.packed` of ``k``, once what
+    :func:`_entry_pieces` decodes of it at a time is known to fit the budget
+    (:func:`packed.chunks_bytes`); raises :class:`TooLargeError` over budget,
+    the table's or, before anything is unpacked, the streamed entry's."""
+    value, w = table.packed(k)
+    size = packed.chunks_bytes(value, w, table._sum(k), CHUNK_DIGITS)
+    _check_budget(size, f"unpacking entry {k} of a recurrence table")
+    return value, w
+
+
 def _entry_pieces(label: str, entry: tuple[int, int], fmt: str) -> Iterator[str]:
     """Output pieces for a recurrence-table entry ``(value, w)``, its digits
     decoded a chunk at a time.  The digits of an entry are nonnegative and
@@ -119,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schur_poly(args: argparse.Namespace) -> int:
-    entry = _table(args.kind).decodable(args.index)
+    entry = _streamable(_table(args.kind), args.index)
     _write(_entry_pieces(f"{args.kind}_{args.index}", entry, args.format))
     return 0
 
@@ -138,7 +149,7 @@ def cmd_product(args: argparse.Namespace) -> int:
 def cmd_determinant(args: argparse.Namespace) -> int:
     # Every result is computed before the first write (see main).
     n, m, fmt = args.n, args.m, args.format
-    entry = _table("D", m).decodable(n)  # Schur_n, as schur_finite
+    entry = _streamable(_table("D", m), n)  # Schur_n, as schur_finite
     reports = [decompose(n, m)] if args.check else []
     oracle = args.check and n <= DIRECT_ORACLE_MAX_N
     if oracle:

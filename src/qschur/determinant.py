@@ -127,13 +127,8 @@ def check_coefficient_recurrence(n: int, m: int, order: int) -> VerificationRepo
         raise ValueError(f"coefficient recurrence needs n >= 1, got {n}")
     lhs = schur_coefficient(n, m, order) * (LaurentPoly(0, (1,)) - monomial(1, n))
     rhs = schur_coefficient(n - 1, m, order) * monomial(1, 2 * n - 1 + m)
-    return compare_series(
-        "coefficient-recurrence",
-        {"n": n, "m": m, "order": order},
-        lhs.truncated(order),
-        rhs.truncated(order),
-        order,
-    )
+    params = {"n": n, "m": m, "order": order}
+    return compare_series("coefficient-recurrence", params, lhs, rhs, order)
 
 
 def schur_x1_series(m: int, order: int) -> QSeries:

@@ -116,8 +116,31 @@ def decode_bytes(value: int, w: int, top: int) -> int:
     w`` and the coefficient while a :class:`~qschur.series.LaurentPoly` is
     made from the list.
     """
+    return _length(value, w) * _digit_bytes(w, top)
+
+
+def _digit_bytes(w: int, top: int) -> int:
+    """The bytes :func:`decode_bytes` counts for each digit."""
     big = 0 if top <= 256 else 44 + -(-2 * top.bit_length() // 15)
-    return _length(value, w) * (66 + 3 * w + big)
+    return 66 + 3 * w + big
+
+
+def chunks_bytes(value: int, w: int, top: int, size: int) -> int:
+    """A bound on the bytes :func:`decode_chunks` of ``value``, ``size``
+    digits at a time, holds at its peak, for digits as :func:`decode_bytes`
+    takes them.
+
+    For each of the ``n`` digits (:func:`_length`) it holds ``w`` bytes of
+    ``value`` and, while its fields are made, of two of: the bias, the
+    biased value, the fields.  An integer of ``b`` bits takes at most ``28
+    + 4 ceil(b / 30)`` bytes, so the three take under ``4 w`` bytes a digit
+    and three headers.  After, it holds ``value``, the fields and one chunk,
+    whose digits :func:`decode_bytes` counts.  The generator, its views and
+    the split's pattern and match state take under 4 KiB.  The caller's
+    rendering of a chunk comes on top.
+    """
+    n = _length(value, w)
+    return 4 * w * n + min(size, n) * _digit_bytes(w, top) + 4096
 
 
 def to_bytes(value: int, w: int) -> bytes:

@@ -14,9 +14,7 @@ class Mismatch(_Record):
     __slots__ = ("exponent", "lhs", "rhs")
 
     def __init__(self, exponent: int, lhs: int, rhs: int):
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        self._set(exponent, lhs, rhs)
 
 
 class VerificationReport(_Record):
@@ -35,9 +33,7 @@ class VerificationReport(_Record):
         params: dict[str, int] | None = None,
         mismatch: Mismatch | None = None,
     ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "params", {} if params is None else params)
-        object.__setattr__(self, "mismatch", mismatch)
+        self._set(label, {} if params is None else params, mismatch)
 
     @property
     def passed(self) -> bool:
@@ -76,7 +72,7 @@ class CheckSuiteResult(_Record):
     __slots__ = ("reports",)
 
     def __init__(self, reports: tuple[VerificationReport, ...]):
-        object.__setattr__(self, "reports", reports)
+        self._set(reports)
 
     @property
     def all_passed(self) -> bool:

@@ -46,7 +46,9 @@ class TooLargeError(ValueError):
 #: 7.3 GB, though a table read at its top holds only two entries.
 #: Unpacking one entry is refused over it too, before it starts: ``Schur_1``
 #: at shift ``m`` unpacks to ``m + 3`` coefficients at about 69 bytes each,
-#: about 69 times its packed bytes, one byte a digit.
+#: about 69 times its packed bytes, one byte a digit, while the CLI's
+#: streamed write of it is held to 4 bytes a digit and one chunk
+#: (:func:`packed.chunks_bytes`).
 TABLE_BUDGET_BYTES = 1 << 28
 
 
@@ -136,18 +138,13 @@ class RecurrenceTable:
             return self._walk(a, b, j, k, w)[1], w
 
     def entry(self, k: int) -> LaurentPoly:
-        """``X_k`` for ``k >= -2`` (:meth:`decodable`)."""
-        return LaurentPoly(0, packed.decode(*self.decodable(k)))
-
-    def decodable(self, k: int) -> tuple[int, int]:
-        """:meth:`packed` of ``k``, once :func:`packed.decode` of it is known to
-        fit the budget; raises :class:`TooLargeError` over budget, the
-        table's or, before anything is unpacked, the decoded entry's
+        """``X_k`` for ``k >= -2``; raises :class:`TooLargeError` over budget,
+        the table's or, before anything is unpacked, the decoded entry's
         (:func:`packed.decode_bytes`)."""
         value, w = self.packed(k)
         size = packed.decode_bytes(value, w, self._sum(k))
         _check_budget(size, f"unpacking entry {k} of a recurrence table")
-        return value, w
+        return LaurentPoly(0, packed.decode(value, w))
 
     def _sum(self, k: int) -> int:
         """``S_k = X_k(1)``, which bounds every coefficient of ``X_k``: the sum

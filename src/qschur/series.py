@@ -9,8 +9,13 @@ unbounded magnitude.  Two value types are provided:
   every coefficient of ``q^e`` with ``e <= order`` is exact, coefficients
   above ``order`` are unknown.
 
-Both types are immutable and safe to share across threads.  The formal
-variable q is never evaluated at a number; it exists only through exponents.
+Both types are immutable and safe to share across threads.  They are
+records (``_Record``, which the reports of :mod:`qschur.reports` share) on
+one private base, which writes ``is_zero``, negation, subtraction and
+``repr`` once for both.  A series is cut at an order in one place: every
+sum, product and :meth:`QSeries.truncated` is :func:`poly_to_series` of the
+exact polynomial of the known terms.  The formal variable q is never
+evaluated at a number; it exists only through exponents.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ class _Record:
     """Base of the immutable value types: the fields are the ``__slots__``.
 
     A subclass lists its fields in ``__slots__``, takes them positionally in
-    that order, and sets them in ``__init__`` with ``object.__setattr__``.
+    that order, and sets them in ``__init__`` with one :meth:`_set` call.
     Instances are equal only to instances of the same class with equal
     fields, hash their fields, refuse assignment and deletion, pickle and
     copy by calling the class on their fields, and print as
@@ -111,6 +116,11 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        """Set every field, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -137,7 +147,34 @@ class _Record:
         return f"{self.__class__.__name__}({fields})"
 
 
-class LaurentPoly(_Record):
+class _Coefficients(_Record):
+    """Base of :class:`LaurentPoly` and :class:`QSeries`, whose last field is
+    the coefficient tuple ``coeffs``: the operations the two write alike.
+
+    Negation rebuilds the class with every coefficient negated.  Subtraction
+    adds the negation of an ``int`` or of either type, so it takes exactly
+    what ``+`` takes.  ``repr`` is ``Name('<str>')``.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        """True when no nonzero coefficient is known (all known terms vanish)."""
+        return not self.coeffs
+
+    def __neg__(self) -> _Coefficients:
+        return self.__class__(*self._values()[:-1], tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: int | _Coefficients) -> _Coefficients:
+        if not isinstance(other, (int, _Coefficients)):
+            return NotImplemented
+        return self + (-other)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}('{self}')"
+
+
+class LaurentPoly(_Coefficients):
     """A Laurent polynomial over the integers.
 
     ``coeffs[i]`` is the coefficient of ``q^(min_exp + i)``.  Instances are
@@ -160,17 +197,9 @@ class LaurentPoly(_Record):
             lo += 1
         while lo < hi and coeffs[hi - 1] == 0:
             hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "min_exp", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "min_exp", min_exp + lo)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+        self._set(min_exp + lo if lo < hi else 0, tuple(coeffs[lo:hi]))
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def degree(self) -> int:
@@ -205,14 +234,6 @@ class LaurentPoly(_Record):
 
     __radd__ = __add__
 
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, (int, LaurentPoly)):
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
         return (-self) + other
 
@@ -232,9 +253,6 @@ class LaurentPoly(_Record):
 
     def __str__(self) -> str:
         return "".join(_sum_notation(self.min_exp, (self.coeffs,)))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly('{self}')"
 
 
 def _sum_notation(min_exp: int, chunks: Iterable[Sequence[int]]) -> Iterator[str]:
@@ -307,7 +325,7 @@ def poly_first_mismatch(
     return _first_mismatch(a, b, max(a.degree, b.degree))
 
 
-class QSeries(_Record):
+class QSeries(_Coefficients):
     """A Laurent series truncated at an inclusive order.
 
     ``coeffs`` covers exponents ``min_exp .. order``; exponents below
@@ -335,9 +353,7 @@ class QSeries(_Record):
         lo = 0
         while lo < len(coeffs) and coeffs[lo] == 0:
             lo += 1
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "min_exp", min_exp + lo)
-        object.__setattr__(self, "coeffs", tuple(coeffs[lo:]))
+        self._set(order, min_exp + lo, tuple(coeffs[lo:]))
 
     @classmethod
     def zero(cls, order: int) -> QSeries:
@@ -350,10 +366,6 @@ class QSeries(_Record):
         return poly_to_series(ONE, order)
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        """True when no nonzero coefficient is known (all known terms vanish)."""
-        return not self.coeffs
 
     def coefficient(self, exponent: int) -> int:
         """The coefficient of ``q^exponent``; requires ``exponent <= order``."""
@@ -372,14 +384,6 @@ class QSeries(_Record):
         order = min(self.order, other.order)
         return poly_to_series(_through(self, order) + _through(other, order), order)
 
-    def __neg__(self) -> QSeries:
-        return QSeries(self.order, self.min_exp, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: QSeries) -> QSeries:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: QSeries | LaurentPoly | int) -> QSeries:
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
@@ -396,17 +400,13 @@ class QSeries(_Record):
     __rmul__ = __mul__
 
     def truncated(self, order: int) -> QSeries:
-        """Restrict knowledge to a lower order (never extends)."""
+        """Restrict knowledge to a lower order (never extends): the same cut
+        as every sum and product."""
         if order > self.order:
             raise OrderTooHighError(
                 f"cannot extend a series of order {self.order} to {order}"
             )
-        if order == self.order:
-            return self
-        keep = order - self.min_exp + 1
-        if keep <= 0:
-            return QSeries.zero(order)
-        return QSeries(order, self.min_exp, self.coeffs[:keep])
+        return poly_to_series(_through(self, order), order)
 
     # -- rendering ---------------------------------------------------------
 
@@ -414,9 +414,6 @@ class QSeries(_Record):
         terms = "".join(_sum_notation(self.min_exp, (self.coeffs,)))
         tail = f"O(q^{self.order + 1})"
         return tail if self.is_zero() else f"{terms} + {tail}"
-
-    def __repr__(self) -> str:
-        return f"QSeries('{self}')"
 
 
 def poly_to_series(a: LaurentPoly, order: int) -> QSeries:

@@ -9,7 +9,9 @@ library's addition and multiplication alone.  :func:`prefix_sum_product`
 builds a Rogers-Ramanujan product factor by factor in one coefficient list,
 divided in place by each ``1 - q^k``, with no pentagonal recurrence.
 :func:`sum_side_by_terms` builds the sum side term by term into an
-accumulator, with no Horner steps.
+accumulator, with no Horner steps.  :func:`partition_numbers` runs Euler's
+pentagonal recurrence for ``p(k)``, the bound under the Rogers-Ramanujan
+products' coefficients.
 :func:`casoratian_gis_rhs` assembles the product side of the identity from
 the Casoratian form, with no ``lambda`` or ``mu``.  :func:`series_sum` and
 :func:`series_product` add and multiply truncated series term by term, with
@@ -207,6 +209,21 @@ def partitions_max_part(n: int, k: int) -> int:
     if n < 0 or k <= 0:
         return 0
     return partitions_max_part(n - k, k) + partitions_max_part(n, k - 1)
+
+
+def partition_numbers(n: int) -> list[int]:
+    """``p(0), ..., p(n - 1)``, the partition numbers, by Euler's pentagonal
+    recurrence ``p(k) = sum_{j >= 1} (-1)^(j+1) (p(k - j(3j-1)/2) + p(k -
+    j(3j+1)/2))``, with ``p`` zero at negative arguments."""
+    p = [1]
+    for k in range(1, n):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+    return p[:n]
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,8 @@ from qschur.identities import (
 )
 from qschur.series import QSeries, series_first_mismatch
 
-from .oracles import casoratian_gis_rhs, prefix_sum_product, rr_coefficients
+from .oracles import casoratian_gis_rhs, partition_numbers, partitions_max_part
+from .oracles import prefix_sum_product, rr_coefficients
 
 RR1_COEFFS = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
 RR2_COEFFS = [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
@@ -98,6 +99,20 @@ class TestProducts:
             with pytest.raises(TooLargeError, match="bytes"):
                 refuse(10**7)
         assert identities._products == {1: [], 2: []}
+
+    def test_size_bound_covers_the_partition_numbers(self):
+        """The bound rests on ``c_k <= p(k) < exp(pi sqrt(2k/3))``, so it must
+        cover ``p(k)`` themselves: for every ``n`` up to 4000,
+        ``_product_bytes(n - 1)`` is at least the bytes of ``p(0..n-1)``,
+        each with its list slot (the bound counts entries, not the list's
+        fixed header).  Integers only; 3.0 bits per ``sqrt(k)`` in place of
+        3.701 fails from ``n = 3958``."""
+        p = partition_numbers(4000)
+        assert p[:40] == [partitions_max_part(k, k) for k in range(40)]
+        held = 0
+        for n, pk in enumerate(p, 1):
+            held += sys.getsizeof(pk) + 8
+            assert held <= identities._product_bytes(n - 1), n
 
     def test_truncation_consistency(self):
         """A deeper product truncates to exactly the shallower one."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from functools import lru_cache
 from math import ceil, comb
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qschur
-from qschur import determinant, packed, schur
+from qschur import cli, determinant, packed, schur
 from qschur.determinant import decompose, schur_finite
-from qschur.cli import main
+from qschur.cli import CHUNK_DIGITS, main
 from qschur.schur import (
     CHECKPOINT_SPACING,
     TABLE_BUDGET_BYTES,
@@ -878,13 +879,61 @@ class TestTableBudget:
         big = (1 << 300) - 1
         assert packed.decode_bytes(1, 40, big) == 2 * (66 + 120 + 44 + 40)
 
+    @pytest.mark.parametrize(
+        "initial, shift, k",
+        [
+            ((0, 1), 50000, 1),
+            ((0, 1), 20000, 3),
+            ((0, 1), 0, 250),
+            ((1, 0), 0, 250),
+            ((0, 1), 1000, 60),
+            ((0, 1), 0, 5),
+        ],
+    )
+    def test_stream_bound_covers_the_streaming_peak(self, initial, shift, k):
+        """:func:`packed.chunks_bytes` bounds what the CLI's streamed write of
+        an entry holds at its peak: the packed value, which the table holds,
+        and the bytes :func:`packed.decode_chunks` allocates while every
+        chunk of :data:`~qschur.cli.CHUNK_DIGITS` digits is made
+        (``tracemalloc``), for narrow and wide digits, small and large
+        coefficients, one chunk and many; and it is within a factor 3 of
+        that peak."""
+        table = RecurrenceTable(*initial, shift)
+        value, w = table.packed(k)
+        count = packed.digits(value, w)
+        bound = packed.chunks_bytes(value, w, table._sum(k), CHUNK_DIGITS)
+        tracemalloc.start()
+        try:
+            for _ in packed.decode_chunks(value, count, w, CHUNK_DIGITS):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] + sys.getsizeof(value)
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < 3 * peak
+
+    def test_stream_bound_from_integers(self):
+        """Per digit one above the magnitude's, ``4w`` bytes; then one chunk
+        of at most ``size`` digits at :func:`packed.decode_bytes`' count each,
+        and 4 KiB."""
+        assert packed.chunks_bytes(0, 1, 0, 2048) == 4 + 69 + 4096
+        value = packed.pack([1] * 9, 2)
+        assert packed.chunks_bytes(value, 2, 256, 4) == 10 * 8 + 4 * 72 + 4096
+        big = (1 << 300) - 1
+        one_chunk = 2048 * (66 + 120 + 44 + 40)
+        assert packed.chunks_bytes(1 << 8 * 40 * 5000, 40, big, 2048) == (
+            5002 * 160 + one_chunk + 4096
+        )
+
     def test_unpacking_over_budget_refused_before_any_unpack(
         self, capsys, fresh_tables, monkeypatch
     ):
         """``Schur_1`` at shift ``m`` packs at one byte a digit but unpacks to
         ``m + 3`` coefficients at 69 bytes each: ``m = 10^6`` fits the
-        budget, ``4 * 10^6`` does not and is refused before anything is
-        unpacked, with exit 2 and nothing on stdout."""
+        budget, ``4 * 10^6`` does not, and ``entry`` refuses it before
+        anything is unpacked.  The CLI streams the entry at 4 bytes a digit
+        and one chunk, so ``determinant --n 1`` admits ``4 * 10^6`` and
+        refuses ``7 * 10^7``, before anything is unpacked, with exit 2 and
+        nothing on stdout."""
         for m, fits in ((10**6, True), (4 * 10**6, False)):
             table = RecurrenceTable(0, 1, m)
             value, w = table.packed(1)
@@ -892,9 +941,19 @@ class TestTableBudget:
             assert w == 1
             assert size == (m + 3) * 69
             assert (size <= TABLE_BUDGET_BYTES) is fits
+        streamed = 4 * (m + 3) + 2048 * 69 + 4096
+        assert packed.chunks_bytes(value, w, 2, CHUNK_DIGITS) == streamed
+        assert streamed <= TABLE_BUDGET_BYTES
+        monkeypatch.setattr(cli, "_write", lambda pieces: None)  # nothing decoded
+        assert main(["determinant", "--n", "1", "--m", str(m)]) == 0
         unpacked = []
-        monkeypatch.setattr(packed, "unpack", lambda *args: unpacked.append(args))
-        code = main(["determinant", "--n", "1", "--m", str(4 * 10**6)])
+        monkeypatch.setattr(packed, "_fields", lambda *args: unpacked.append(args))
+        with pytest.raises(TooLargeError, match="unpacking entry 1 of a"):
+            table.entry(1)
+        assert unpacked == []
+        m = 7 * 10**7
+        assert 4 * (m + 3) + 2048 * 69 + 4096 > TABLE_BUDGET_BYTES
+        code = main(["determinant", "--n", "1", "--m", str(m)])
         out, err = capsys.readouterr()
         assert (code, out, unpacked) == (2, "", [])
         assert "unpacking entry 1 of a recurrence table" in err

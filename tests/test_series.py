@@ -313,6 +313,38 @@ def test_operators_refuse_other_types(left, op):
         op(left, "q")
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [(ONE + Q, QSeries.one(3)), (QSeries.one(3), ONE + Q), (QSeries.one(3), 1)],
+    ids=["poly-series", "series-poly", "series-int"],
+)
+def test_subtraction_refuses_what_addition_refuses(left, right):
+    """A difference is the sum with the negation, so it refuses the pairs
+    ``+`` refuses: a polynomial with a series either way, and a series with
+    an ``int``."""
+    with pytest.raises(TypeError):
+        left - right
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (P(-1, 2, 0, -1), "LaurentPoly('-2q^-1 + q')"),
+        (poly_to_series(P(-1, 2, 0, -1), 3), "QSeries('-2q^-1 + q + O(q^4)')"),
+        (QSeries.zero(2), "QSeries('O(q^3)')"),
+    ],
+    ids=["poly", "series", "zero-series"],
+)
+def test_negation_and_repr_keep_the_class(x, text):
+    """``-x`` is ``x``'s class with every field but the coefficients kept,
+    and ``repr`` names that class around ``str``."""
+    neg = -x
+    assert neg.__class__ is x.__class__
+    assert neg._values()[:-1] == x._values()[:-1]
+    assert repr(neg) == text
+    assert -neg == x
+
+
 class TestSeriesTruncated:
     def test_restrict(self):
         a = poly_to_series(P(0, 1, 1, 1, 1), 3)

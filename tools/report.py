@@ -35,6 +35,7 @@ COMMANDS = [
     "determinant --n 300 --m 8 --check --format json",
     "determinant --n 140 --m 40 --check --format json",
     "determinant --n 1 --m 3700000 --format json",
+    "determinant --n 1 --m 4000000 --format json",
     "product --which rr1 --order 30000 --format json",
     "verify --m-max 20 --order 200",
     "verify --m-max 20 --order 1000",
