@@ -125,7 +125,8 @@ def check_coefficient_recurrence(n: int, m: int, order: int) -> VerificationRepo
     """
     if n < 1:
         raise ValueError(f"coefficient recurrence needs n >= 1, got {n}")
-    lhs = schur_coefficient(n, m, order) * (LaurentPoly(0, (1,)) - monomial(1, n))
+    a_n = schur_coefficient(n, m, order)
+    lhs = a_n - a_n * monomial(1, n)
     rhs = schur_coefficient(n - 1, m, order) * monomial(1, 2 * n - 1 + m)
     params = {"n": n, "m": m, "order": order}
     return compare_series("coefficient-recurrence", params, lhs, rhs, order)

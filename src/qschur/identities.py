@@ -51,12 +51,13 @@ def _product_bytes(order: int) -> int:
     ``c_k`` counts partitions of ``k`` into parts ``+-r`` mod 5, so ``c_k <=
     p(k) < exp(pi sqrt(2k/3))`` (Apostol, Thm 14.5) has at most ``3.701
     sqrt(k) + 1`` bits, and ``sum_{k<n} sqrt(k) <= (2/3) n^1.5``.  CPython
-    holds ``b`` bits in at most ``28 + 2b/15`` bytes, and the list takes 8
-    more per entry.
+    holds ``b`` bits in at most ``28 + 2b/15`` bytes.  A list grown by
+    ``append`` to ``n`` entries, as :func:`_rr_product` grows it, is a
+    56-byte header and 8-byte slots, at most ``n + n/8 + 6`` of them.
     """
     n = order + 1
     bits = -(-3701 * 2 * n * (isqrt(n) + 1) // 3000) + n
-    return 36 * n + -(-2 * bits // 15)
+    return 56 + 8 * (n + n // 8 + 6) + 28 * n + -(-2 * bits // 15)
 
 
 def _check_product(top: int) -> None:

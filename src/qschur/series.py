@@ -14,8 +14,11 @@ records (``_Record``, which the reports of :mod:`qschur.reports` share) on
 one private base, which writes ``is_zero``, negation, subtraction and
 ``repr`` once for both.  A series is cut at an order in one place: every
 sum, product and :meth:`QSeries.truncated` is :func:`poly_to_series` of the
-exact polynomial of the known terms.  The formal variable q is never
-evaluated at a number; it exists only through exponents.
+exact polynomial of the known terms.  Every product of two polynomials
+is one multiply: a one-term factor scales the other, and any other pair is
+multiplied as two big integers by Kronecker substitution, in the digit
+format of :mod:`qschur.packed`.  The formal variable q is never evaluated
+at a number; it exists only through exponents.
 """
 
 from __future__ import annotations
@@ -43,48 +46,17 @@ class OrderTooHighError(ValueError):
     """A comparison was requested beyond the known truncation order."""
 
 
-#: Nonzero coefficients the sparser operand of :func:`_convolve` needs before
-#: the product goes through Kronecker substitution instead of the schoolbook
-#: loop.  Set from the crossover table in ``CHANGES.md``.
-KRONECKER_MIN_TERMS = 16
-
-
-def _nonzero_count(coeffs: Sequence[int]) -> int:
-    return len(coeffs) - coeffs.count(0)
-
-
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The whole product of two non-empty coefficient lists, as a plain convolution.
 
-    Two kernels compute the same exact result.  When the sparser operand has
-    fewer than :data:`KRONECKER_MIN_TERMS` nonzero coefficients (monomials,
-    short factors) the schoolbook loop runs, costing one slice-wise pass over
-    the denser operand per nonzero term.  Otherwise :func:`_kronecker` packs
-    both operands into big integers and lets CPython's Karatsuba multiply
-    them.  Measured, Kronecker overtakes the loop at about 8 nonzero terms
-    for coefficients of up to 100 bits, 12 at 128 bits and 16 to 24 at 256
-    bits, whatever the length of the denser operand.  16 is the crossover at
-    256 bits, and on 8 to 15 terms of narrower coefficients the loop takes
-    at most about twice Kronecker's time.
+    A one-term operand (a monomial's coefficient) scales the other, one
+    multiply per coefficient.  Every other product goes through
+    :func:`_kronecker`.
     """
-    na, nb = _nonzero_count(a), _nonzero_count(b)
-    if min(na, nb) >= KRONECKER_MIN_TERMS:
-        return _kronecker(a, b)
-    return _schoolbook(b, a) if na > nb else _schoolbook(a, b)
-
-
-def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Convolution by one slice-wise pass over ``b`` per nonzero entry of ``a``.
-
-    The inner loop is a list comprehension, the fastest pure-Python form; it
-    is also the differential oracle for :func:`_kronecker`.
-    """
-    out = [0] * (len(a) + len(b) - 1)
-    n = len(b)
-    for i, ca in enumerate(a):
-        if ca:
-            out[i : i + n] = [u + ca * v for u, v in zip(out[i : i + n], b)]
-    return out
+    if len(a) == 1 or len(b) == 1:
+        scale, other = (a[0], b) if len(a) == 1 else (b[0], a)
+        return [scale * c for c in other]
+    return _kronecker(a, b)
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -94,7 +66,9 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     multiplied once, and the product's digits are read back with the codec
     of :mod:`qschur.packed`.  A product coefficient is a sum of at most
     ``min(len(a), len(b))`` terms, each below ``2^(bits(a) + bits(b))`` in
-    magnitude, and :func:`packed.width` sizes ``w`` for that bound.
+    magnitude, and :func:`packed.width` sizes ``w`` for that bound.  A zero
+    coefficient takes its digit like any other, so the cost follows the
+    operands' lengths, not their nonzero counts.
     """
     w = packed.width(min(len(a), len(b)) << (_max_bits(a) + _max_bits(b)))
     return packed.unpack(packed.pack(a, w) * packed.pack(b, w), len(a) + len(b) - 1, w)
@@ -239,7 +213,7 @@ class LaurentPoly(_Coefficients):
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            return LaurentPoly(self.min_exp, tuple(c * other for c in self.coeffs))
+            other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():

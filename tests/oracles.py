@@ -26,6 +26,8 @@ did; they are the byte oracles of its chunked writers.
 :func:`at_two_points` evaluates a packed table entry at ``+-2^(4s)`` by a
 strided byte copy of its whole digits at every radix (:func:`restride`); it
 is the oracle of the byte-plane evaluation in :mod:`qschur.packed`.
+:func:`schoolbook` convolves two coefficient lists by one pass per term,
+with no big-integer packing; it is the oracle of the library's multiply.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ def format_series_table(s: QSeries) -> str:
     labels = [f"q^{e}" for e in range(s.min_exp, s.order + 1)]
     width = max(map(len, labels), default=0)
     return "\n".join(f"{lbl:<{width}}  {c}" for lbl, c in zip(labels, s.coeffs))
+
+
+def schoolbook(a: list[int], b: list[int]) -> list[int]:
+    """The convolution of two non-empty coefficient lists: one slice-wise
+    pass over ``b`` per nonzero entry of ``a``."""
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    for i, ca in enumerate(a):
+        if ca:
+            out[i : i + n] = [u + ca * v for u, v in zip(out[i : i + n], b)]
+    return out
 
 
 def poly_shifted(p: LaurentPoly, k: int) -> LaurentPoly:

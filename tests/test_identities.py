@@ -102,17 +102,19 @@ class TestProducts:
 
     def test_size_bound_covers_the_partition_numbers(self):
         """The bound rests on ``c_k <= p(k) < exp(pi sqrt(2k/3))``, so it must
-        cover ``p(k)`` themselves: for every ``n`` up to 4000,
-        ``_product_bytes(n - 1)`` is at least the bytes of ``p(0..n-1)``,
-        each with its list slot (the bound counts entries, not the list's
-        fixed header).  Integers only; 3.0 bits per ``sqrt(k)`` in place of
-        3.701 fails from ``n = 3958``."""
-        p = partition_numbers(4000)
+        cover ``p(k)`` themselves: for every ``n`` up to 5000,
+        ``_product_bytes(n - 1)`` is at least the bytes of ``p(0..n-1)`` in
+        a list grown by ``append``, as ``_rr_product`` grows it: the list's
+        own ``sys.getsizeof``, header and spare slots included, plus every
+        entry's.  Integers only; 3.0 bits per ``sqrt(k)`` in place of 3.701
+        fails from ``n = 4645``."""
+        p = partition_numbers(5000)
         assert p[:40] == [partitions_max_part(k, k) for k in range(40)]
-        held = 0
+        grown, held = [], 0
         for n, pk in enumerate(p, 1):
-            held += sys.getsizeof(pk) + 8
-            assert held <= identities._product_bytes(n - 1), n
+            grown.append(pk)
+            held += sys.getsizeof(pk)
+            assert sys.getsizeof(grown) + held <= identities._product_bytes(n - 1), n
 
     def test_truncation_consistency(self):
         """A deeper product truncates to exactly the shallower one."""

@@ -11,13 +11,11 @@ from qschur.determinant import schur_finite, schur_finite_direct
 from qschur.identities import rr_product_first
 from qschur.schur import lambda_coeff, mu_coeff, schur_D
 from qschur.series import (
-    KRONECKER_MIN_TERMS,
     ONE,
     LaurentPoly,
     QSeries,
     _convolve,
     _kronecker,
-    _schoolbook,
     _through,
     divide_one_minus_qk,
     monomial,
@@ -26,7 +24,7 @@ from qschur.series import (
     series_first_mismatch,
 )
 
-from .oracles import series_inverse, series_product, series_sum
+from .oracles import schoolbook, series_inverse, series_product, series_sum
 
 # Small polynomials keep shrinking fast while still exercising carries,
 # cancellation, and negative exponents.
@@ -37,6 +35,14 @@ polys = st.builds(
 )
 
 orders = st.integers(min_value=0, max_value=12)
+
+# Integer factors: 0 and +-1, small ones, and magnitudes past 2^64.
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**6), 10**6),
+    st.integers(1 << 64, 1 << 200),
+    st.integers(-(1 << 200), -(1 << 64)),
+)
 
 
 @st.composite
@@ -88,12 +94,12 @@ def window_pairs(draw):
 def coefficient_lists(draw):
     """Non-empty signed lists with zeros, of up to about 300-bit entries.
 
-    Lengths reach past twice :data:`KRONECKER_MIN_TERMS`, so both sides of
-    the ``_convolve`` dispatch are drawn.
+    Lengths run from 1, which ``_convolve`` scales by, to 40, so both of its
+    cases are drawn.
     """
     bits = draw(st.integers(min_value=0, max_value=300))
     entry = st.integers(-(1 << bits), 1 << bits)
-    size = st.integers(min_value=1, max_value=2 * KRONECKER_MIN_TERMS + 8)
+    size = st.integers(min_value=1, max_value=40)
     return draw(st.lists(st.one_of(st.just(0), entry), min_size=1, max_size=draw(size)))
 
 
@@ -147,6 +153,13 @@ class TestPolyRingAxioms:
     @given(polys)
     def test_multiplicative_identity(self, a):
         assert a * ONE == a
+
+    @given(polys, scalars)
+    def test_int_is_the_constant_polynomial(self, p, k):
+        """An ``int`` factor, on either side, is the constant polynomial ``k``,
+        and scales every coefficient."""
+        assert p * k == k * p == p * LaurentPoly(0, (k,))
+        assert p * k == LaurentPoly(p.min_exp, [c * k for c in p.coeffs])
 
     @given(polys, polys, polys)
     def test_distributes(self, a, b, c):
@@ -369,13 +382,14 @@ class TestSeriesArithmetic:
 
 
 class TestKroneckerKernel:
-    """Kronecker substitution against the schoolbook loop, its oracle."""
+    """Kronecker substitution and ``_convolve`` against the schoolbook loop,
+    their oracle."""
 
     @settings(max_examples=200)
     @given(kernel_operands, kernel_operands)
     def test_matches_schoolbook(self, a, b):
         """Whole products, of operands of equal and of mixed lengths."""
-        expected = _schoolbook(a, b)
+        expected = schoolbook(a, b)
         assert len(expected) == len(a) + len(b) - 1
         assert _kronecker(a, b) == expected
         assert _convolve(a, b) == expected
@@ -387,28 +401,31 @@ class TestKroneckerKernel:
         for x in ((1 << bits) - 1, 1 - (1 << bits), -(1 << bits)):
             for y in ((1 << bits) - 1, -(1 << bits)):
                 a, b = [x] * size, [y] * (size + 1)
-                assert _kronecker(a, b) == _schoolbook(a, b)
+                assert _kronecker(a, b) == schoolbook(a, b)
 
-    def test_dispatch_by_sparser_operand(self, monkeypatch):
-        """Kronecker runs only when both operands reach the crossover."""
+    @given(kernel_operands, kernel_operands)
+    def test_one_term_operands_scale_and_the_rest_pack(self, a, b):
+        """A one-term operand never reaches ``_kronecker``; a product of two
+        multi-term operands always does, however sparse either is."""
         calls = []
 
-        def spy(a, b):
-            calls.append(len(a) + len(b) - 1)
-            return _kronecker(a, b)
+        def spy(x, y):
+            calls.append((x, y))
+            return _kronecker(x, y)
 
-        monkeypatch.setattr(series, "_kronecker", spy)
-        dense = list(range(1, 200))
-        sparse = [1] + [0] * 50 + [1] * (KRONECKER_MIN_TERMS - 2)
-        for a, b in ((sparse, dense), (dense, sparse), (dense, sparse + [1])):
-            assert _convolve(a, b) == _schoolbook(a, b)
-        assert len(calls) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_kronecker", spy)
+            for x, y in ((a, b), ([1] + [0] * 50 + [1], a), ([-3], a)):
+                calls.clear()
+                assert _convolve(x, y) == schoolbook(x, y)
+                assert calls == ([(x, y)] if len(x) > 1 < len(y) else [])
 
     @pytest.mark.parametrize("m", range(9))
     def test_determinant_check_products_stay_on_schoolbook(self, m, monkeypatch):
-        """The cofactor oracle of ``determinant --check`` (n <= 14) and the
-        factors ``lambda(m)``, ``mu(m)`` multiply small polynomials, which for
-        m <= 8 are too sparse to pack: every product runs on the loop."""
+        """The cofactor oracle of ``determinant --check`` (n <= 14) multiplies
+        by matrix entries, and ``lambda(m)``, ``mu(m)`` by a signed power of
+        q: every factor has one term, so every product is a scale and none
+        packs."""
         calls = []
 
         def spy(a, b):
